@@ -13,8 +13,7 @@ from .errors import (AclError, ConfigError, CorruptionError, DataError, Evograft
                      InvariantError, StructuralError, ValidationError)
 from .evolution import (EvolutionConfig, IterationReport, run_schedule, run_task_iteration,
                         sample_parent, score_model, train_child)
-from .mutation import (Genome, MutationSet, SearchSpace, apply_mutations,
-                       mutate_hyperparameter, sample_mutations)
+from .mutation import Genome, MutationSet, SearchSpace, apply_mutations, sample_mutations
 from .nn.config import ArchConfig, Batch, LayerConfig, LayerKind, OptimizerConfig, PreprocConfig
 from .persistence import load, manifest_hash, save
 from .store import (LayerRecord, LayerStore, ModelRecord, SystemState, garbage_collect,

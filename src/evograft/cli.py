@@ -120,10 +120,10 @@ def cmd_init(args) -> int:
     return 0
 
 
-def _expand_schedule(schedule: list[dict], evo: dict, workers: int):
+def _expand_schedule(schedule: list[dict], evo: dict):
     # replica_seed stays unset: iterations derive seeds from the checkpoint state
     expanded = []
-    base = EvolutionConfig.from_dict({**evo, "workers": workers})
+    base = EvolutionConfig.from_dict(evo)
     for entry in schedule:
         for _ in range(int(entry.get("iterations", 1))):
             expanded.append((entry["task"], base))
@@ -141,13 +141,10 @@ def cmd_run(args) -> int:
         raise ConfigError(f"no initialized checkpoint at {latest}; run init first")
     state = persistence.load(latest)
     space = _search_space(cfg, args)
-    expanded = _expand_schedule(schedule, evo, args.workers)
+    expanded = _expand_schedule(schedule, evo)
 
     def replica_dir(r: int) -> Path:
         return out_root / f"replica_{r}" if replicas > 1 else out_root
-
-    def row_sink(row: dict) -> None:
-        print(canonical_json(row), file=sys.stderr)
 
     def on_iteration(r: int, i: int, rep_state, report) -> None:
         base = replica_dir(r)
@@ -162,7 +159,7 @@ def cmd_run(args) -> int:
         (reports / f"params_{i:03d}_{report.task}.csv").write_text(accounting.params_csv(pr))
 
     states, accuracies, variance = run_schedule(state, expanded, replicas=replicas, space=space,
-                                                on_iteration=on_iteration, row_sink=row_sink)
+                                                on_iteration=on_iteration, workers=args.workers)
     for r, rep in enumerate(states):
         base = replica_dir(r)
         reports = base / "reports"
@@ -262,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute the configured task schedule")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--checkpoint", default=None, help="override output directory")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="threads training each generation; not part of the experiment config")
     p_run.add_argument("--replicas", type=int, default=None)
     p_run.add_argument("--search-space", dest="search_space", default=None)
     p_run.set_defaults(func=cmd_run)

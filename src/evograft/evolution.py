@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,22 +44,12 @@ class EvolutionConfig:
     replica_seed: int | None = None
     batch_size: int = 16
     allow_insert: bool = False
-    workers: int = 1
 
     def validate(self) -> None:
         for name in ("num_generations", "children_per_generation", "train_cycles",
                      "samples_cap", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_generations": self.num_generations,
-            "children_per_generation": self.children_per_generation,
-            "train_cycles": self.train_cycles, "samples_cap": self.samples_cap,
-            "replica_seed": self.replica_seed, "batch_size": self.batch_size,
-            "allow_insert": self.allow_insert, "workers": self.workers,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvolutionConfig":
@@ -240,7 +230,6 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
                 for pos, wl in work:
                     for name in wl.params:
                         wl.params[name] = params[(pos, name)]
-                    path[pos].params = wl.params
                 step += 1
             if not all(np.isfinite(p).all() for p in params.values()):
                 result.diverged = True
@@ -289,16 +278,21 @@ def finalize_child(state: SystemState, task: TaskSpec, child: ChildModel,
     seq = state.next_model_seq()
     model_id = ModelRecord.make_id(task.name, tuple(path_ids), child.genome, child.parent_id,
                                    result.best_score, result.steps_at_best, seq)
-    return ModelRecord(model_id=model_id, task=task.name, path=tuple(path_ids),
-                       genome=child.genome, score=result.best_score, selection_counts={},
-                       parent=child.parent_id, train_steps_done=result.steps_at_best,
-                       created_seq=seq)
+    model = ModelRecord(model_id=model_id, task=task.name, path=tuple(path_ids),
+                        genome=child.genome, score=result.best_score, selection_counts={},
+                        parent=child.parent_id, train_steps_done=result.steps_at_best,
+                        created_seq=seq)
+    state.check_head_width(model)
+    return model
 
 
 def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
                        space: SearchSpace | None = None,
-                       on_generation=None, row_sink=None) -> IterationReport:
-    """One full active-task iteration (resumable at generation barriers)."""
+                       on_generation=None, workers: int = 1) -> IterationReport:
+    """One full active-task iteration (resumable at generation barriers).
+
+    `workers` threads train each generation's children; results do not depend on it.
+    """
     cfg.validate()
     space = space or SearchSpace.default()
     if task_name not in state.tasks:
@@ -307,11 +301,8 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
     seed = cfg.replica_seed if cfg.replica_seed is not None else state.rng_seed
     insert_cfg = state.arch.layer_config(LayerKind.TRANSFORMER)
 
-    def _semantic(d: dict) -> dict:
-        return {k: v for k, v in d.items() if k != "workers"}
-
     if state.pending is not None:
-        if state.pending.task != task_name or _semantic(state.pending.econfig) != _semantic(cfg.to_dict()):
+        if state.pending.task != task_name or EvolutionConfig.from_dict(state.pending.econfig) != cfg:
             raise ConfigError("a different iteration is pending; resume it with its own task and config")
         active = ActivePopulation(task_name, list(state.pending.active_models))
         start_gen = state.pending.generation_done
@@ -329,7 +320,7 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
         active = ActivePopulation(task_name, members)
         start_gen = 0
         state.pending = PendingIteration(task=task_name, generation_done=0,
-                                         econfig=cfg.to_dict(), active_models=list(members))
+                                         econfig=asdict(cfg), active_models=list(members))
 
     report = IterationReport(task=task_name)
     for gen in range(start_gen, cfg.num_generations):
@@ -353,8 +344,8 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
             ci, parent, delta, child, crng, parent_score = item
             return ci, train_child(child, task, cfg, crng, state.store, parent_score)
 
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = dict(pool.map(_run, planned))
         else:
             results = dict(_run(item) for item in planned)
@@ -376,8 +367,6 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
             }
             report.rows.append(row)
             state.history_offset += 1
-            if row_sink is not None:
-                row_sink(row)
         state.generation_counter += 1
         state.pending.generation_done = gen + 1
         state.pending.active_models = list(active.members)
@@ -427,7 +416,7 @@ def clone_state(state: SystemState) -> SystemState:
 
 def run_schedule(state: SystemState, schedule: list[tuple[str, EvolutionConfig]],
                  replicas: int = 1, space: SearchSpace | None = None,
-                 on_iteration=None, row_sink=None):
+                 on_iteration=None, workers: int = 1):
     """Execute the task sequence on `replicas` independent system copies.
 
     Returns (final states, per-task test accuracies per replica, variance
@@ -448,7 +437,7 @@ def run_schedule(state: SystemState, schedule: list[tuple[str, EvolutionConfig]]
     accuracies: dict[str, list[float]] = {}
     for r, rep in enumerate(states):
         for i, (task_name, cfg) in enumerate(schedule):
-            report = run_task_iteration(rep, task_name, cfg, space=space, row_sink=row_sink)
+            report = run_task_iteration(rep, task_name, cfg, space=space, workers=workers)
             if on_iteration is not None:
                 on_iteration(r, i, rep, report)
         for task_name, model in sorted(rep.retained_models.items()):

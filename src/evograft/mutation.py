@@ -11,7 +11,7 @@ taken with probability 1. Booleans flip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import TYPE_CHECKING
 
@@ -120,10 +120,6 @@ class SearchSpace:
         return options[int(rng.integers(0, 2))]
 
 
-def mutate_hyperparameter(space: SearchSpace, name: str, current, rng: np.random.Generator):
-    return space.neighbor(name, current, rng)
-
-
 @dataclass(frozen=True)
 class MutationSet:
     """The sampled set of actions to derive a child from its parent."""
@@ -200,9 +196,6 @@ class ChildModel:
     entries: list  # str (frozen LayerId) | WorkLayer (trainable)
     parent_id: str
     mutations: MutationSet
-
-    def trainable_flags(self) -> list[bool]:
-        return [isinstance(e, WorkLayer) for e in self.entries]
 
     def work_layers(self) -> list[tuple[int, WorkLayer]]:
         return [(i, e) for i, e in enumerate(self.entries) if isinstance(e, WorkLayer)]

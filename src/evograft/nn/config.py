@@ -15,12 +15,7 @@ class LayerKind(str, Enum):
     CLASS_TOKEN = "class_token"
     POSITION_EMBEDDING = "position_embedding"
     TRANSFORMER = "transformer"
-    DENSE_BLOCK = "dense_block"
     HEAD = "head"
-
-
-# Kinds allowed in the middle of a path, between the input stack and the head.
-BODY_KINDS = (LayerKind.TRANSFORMER, LayerKind.DENSE_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -112,8 +107,6 @@ class ArchConfig:
                                image_resolution=self.image_resolution)
         if kind == LayerKind.TRANSFORMER:
             return LayerConfig(kind, self.hidden_dim, num_heads=self.num_heads, mlp_dim=self.mlp_dim)
-        if kind == LayerKind.DENSE_BLOCK:
-            return LayerConfig(kind, self.hidden_dim)
         if kind == LayerKind.HEAD:
             return LayerConfig(kind, self.hidden_dim, num_classes=num_classes)
         raise ValidationError(f"unknown layer kind {kind}")

@@ -28,7 +28,6 @@ PARAM_ORDER: dict[LayerKind, tuple[str, ...]] = {
         "ln1_gamma", "ln1_beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
         "ln2_gamma", "ln2_beta", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
     ),
-    LayerKind.DENSE_BLOCK: ("ln_gamma", "ln_beta", "w", "b"),
     LayerKind.HEAD: ("w", "b"),
 }
 
@@ -53,8 +52,6 @@ def param_shapes(cfg: LayerConfig) -> dict[str, tuple[int, ...]]:
             "ln2_gamma": (d,), "ln2_beta": (d,),
             "mlp_w1": (d, m), "mlp_b1": (m,), "mlp_w2": (m, d), "mlp_b2": (d,),
         }
-    if k == LayerKind.DENSE_BLOCK:
-        return {"ln_gamma": (d,), "ln_beta": (d,), "w": (d, d), "b": (d,)}
     if k == LayerKind.HEAD:
         return {"w": (d, cfg.num_classes), "b": (cfg.num_classes,)}
     raise ValidationError(f"unknown layer kind {k}")
@@ -194,12 +191,6 @@ def forward(cfg: LayerConfig, params: dict, x: np.ndarray):
     if k == LayerKind.TRANSFORMER:
         return _transformer_fwd(cfg, params, x)
 
-    if k == LayerKind.DENSE_BLOCK:
-        h, ln_cache = _layernorm_fwd(x, params["ln_gamma"], params["ln_beta"])
-        u = _dense_fwd(h, params["w"], params["b"])
-        g, t = _gelu_fwd(u)
-        return x + g, (h, ln_cache, u, t)
-
     if k == LayerKind.HEAD:
         pooled = x.mean(axis=1)
         logits = _dense_fwd(pooled, params["w"], params["b"])
@@ -233,15 +224,6 @@ def backward(cfg: LayerConfig, params: dict, cache, dy: np.ndarray,
 
     if k == LayerKind.TRANSFORMER:
         return _transformer_bwd(cfg, params, cache, dy, want_param_grads, want_dx)
-
-    if k == LayerKind.DENSE_BLOCK:
-        h, ln_cache, u, t = cache
-        dg_out = _gelu_bwd(dy, u, t)
-        dw, db, dh = _dense_bwd(h, params["w"], dg_out)
-        dx_ln, dgamma, dbeta = _layernorm_bwd(dh, params["ln_gamma"], ln_cache)
-        dparams = {"ln_gamma": dgamma, "ln_beta": dbeta, "w": dw, "b": db} if want_param_grads else None
-        dx = dy + dx_ln if want_dx else None
-        return dparams, dx
 
     if k == LayerKind.HEAD:
         pooled, t_len = cache

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import StructuralError
-from .config import BODY_KINDS, LayerConfig, LayerKind
+from .config import LayerConfig, LayerKind
 from . import layers as L
 
 
@@ -40,7 +40,7 @@ class Tape:
 
 
 def validate_path_kinds(kinds: list[LayerKind]) -> None:
-    """Paths are PatchEmbedding, ClassToken, PositionEmbedding, body*, Head."""
+    """Paths are PatchEmbedding, ClassToken, PositionEmbedding, Transformer*, Head."""
     if len(kinds) < 4:
         raise StructuralError(f"path too short: {[k.value for k in kinds]}")
     expected_prefix = (LayerKind.PATCH_EMBEDDING, LayerKind.CLASS_TOKEN, LayerKind.POSITION_EMBEDDING)
@@ -49,7 +49,7 @@ def validate_path_kinds(kinds: list[LayerKind]) -> None:
     if kinds[-1] != LayerKind.HEAD:
         raise StructuralError("path must end with a head")
     for k in kinds[3:-1]:
-        if k not in BODY_KINDS:
+        if k != LayerKind.TRANSFORMER:
             raise StructuralError(f"invalid body layer kind {k.value}")
 
 

@@ -40,7 +40,7 @@ def _blob_bytes(record: LayerRecord) -> bytes:
     return header + body
 
 
-def _layer_entry(record: LayerRecord) -> dict:
+def _layer_entry(record: LayerRecord, blob: bytes) -> dict:
     order = PARAM_ORDER[record.kind]
     return {
         "file": f"{record.id}.bin",
@@ -52,7 +52,7 @@ def _layer_entry(record: LayerRecord) -> dict:
         "params": [[n, list(record.params[n].shape)] for n in order],
         "opt_state": [[n, list(record.optimizer_state[n].shape)]
                       for n in order if n in record.optimizer_state],
-        "blob_sha256": sha256_hex(_blob_bytes(record)),
+        "blob_sha256": sha256_hex(blob),
     }
 
 
@@ -89,8 +89,9 @@ def save(state: SystemState, directory) -> dict:
     layers = {}
     for lid in state.store.ids():
         record = state.store.get(lid)
-        _atomic_write(directory / f"{lid}.bin", _blob_bytes(record))
-        layers[lid] = _layer_entry(record)
+        blob = _blob_bytes(record)
+        _atomic_write(directory / f"{lid}.bin", blob)
+        layers[lid] = _layer_entry(record, blob)
     manifest = {
         "format_version": FORMAT_VERSION,
         "rng_seed": state.rng_seed,
@@ -177,14 +178,17 @@ def load(directory) -> SystemState:
 
     store = LayerStore()
     for lid, entry in manifest.get("layers", {}).items():
-        params, opt = _read_blob(directory / entry["file"], entry, lid)
-        record = LayerRecord.create(
-            kind=LayerKind(entry["kind"]),
-            config=LayerConfig.from_dict(entry["config"]), params=params, optimizer_state=opt,
-            cloned_from=entry["cloned_from"],
-            trained_on=[(t, int(s)) for t, s in entry["trained_on"]],
-            creator_task=entry["creator_task"],
-        )
+        try:
+            params, opt = _read_blob(directory / entry["file"], entry, lid)
+            record = LayerRecord.create(
+                kind=LayerKind(entry["kind"]),
+                config=LayerConfig.from_dict(entry["config"]), params=params, optimizer_state=opt,
+                cloned_from=entry["cloned_from"],
+                trained_on=[(t, int(s)) for t, s in entry["trained_on"]],
+                creator_task=entry["creator_task"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed manifest entry for layer {lid}: {exc!r}") from exc
         if record.id != lid:
             raise DataError(f"layer {lid} content hash changed on disk (got {record.id})")
         store.insert(record)

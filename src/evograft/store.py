@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -158,10 +158,9 @@ class ArchiveEntry:
 class LayerStore:
     """Reference store: concurrent readers, serialized inserts, publish-after-freeze."""
 
-    def __init__(self, head_width_lookup: Callable[[str], int | None] | None = None):
+    def __init__(self):
         self._records: dict[str, LayerRecord] = {}
         self._lock = threading.Lock()
-        self._head_width_lookup = head_width_lookup
 
     def __contains__(self, layer_id: str) -> bool:
         return layer_id in self._records
@@ -213,12 +212,6 @@ class LayerStore:
             width = record.params["w"].shape[1]
             if record.config.num_classes != width:
                 raise ValidationError(f"head config says {record.config.num_classes} classes, tensor has {width}")
-            if self._head_width_lookup is not None:
-                expected_width = self._head_width_lookup(record.creator_task)
-                if expected_width is not None and expected_width != width:
-                    raise ValidationError(
-                        f"head for task {record.creator_task!r} must have {expected_width} outputs, got {width}"
-                    )
         actual_id = content_id(record.kind, record.config, record.params, record.optimizer_state,
                                record.cloned_from, record.trained_on, record.creator_task)
         if actual_id != record.id:
@@ -250,20 +243,19 @@ class SystemState:
     history_offset: int = 0  # children reported so far, aligns report streams with checkpoints
     pending: PendingIteration | None = None
 
-    def __post_init__(self):
-        self.store._head_width_lookup = self._head_width_for_task
-
-    def _head_width_for_task(self, task_name: str) -> int | None:
-        spec = self.tasks.get(task_name)
-        return spec.num_classes if spec is not None else None
-
     def next_model_seq(self) -> int:
         seq = self.model_seq
         self.model_seq += 1
         return seq
 
-    def all_models(self) -> list[ModelRecord]:
-        return sorted(self.retained_models.values(), key=lambda m: m.created_seq)
+    def check_head_width(self, model: ModelRecord) -> None:
+        """A model of a registered task must end in a head with one output per class."""
+        spec = self.tasks.get(model.task)
+        if spec is None:
+            return
+        width = self.store.get(model.path[-1]).config.num_classes
+        if width != spec.num_classes:
+            raise ValidationError(f"head for task {model.task!r} must have {spec.num_classes} outputs, got {width}")
 
     def validate_references(self) -> None:
         models = list(self.retained_models.values())
@@ -273,6 +265,7 @@ class SystemState:
             for lid in m.path:
                 if lid not in self.store:
                     raise InvariantError(f"model {m.model_id} references missing layer {lid}")
+            self.check_head_width(m)
 
 
 def reachable_layers(state: SystemState) -> set[str]:

@@ -51,7 +51,3 @@ def freeze_array(arr: np.ndarray, dtype: str = "float32") -> np.ndarray:
         out = out.copy()
     out.setflags(write=False)
     return out
-
-
-def all_finite(arrays) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)

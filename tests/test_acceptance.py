@@ -96,7 +96,7 @@ def test_criterion_01_structural_reproduction(experiment):
     depths = {}
     for task in TASKS:
         kinds = [state.store.get(l).kind for l in state.retained_models[task].path]
-        depth = sum(k in (LayerKind.TRANSFORMER, LayerKind.DENSE_BLOCK) for k in kinds)
+        depth = kinds.count(LayerKind.TRANSFORMER)
         depths[task] = depth
         assert depth >= 1, (task, kinds)
     # graph-export check: the private task's created layers are on no other path
@@ -271,7 +271,6 @@ GRAD_CASES = [
     (LayerConfig(LayerKind.CLASS_TOKEN, 8), (2, 4, 8)),
     (LayerConfig(LayerKind.POSITION_EMBEDDING, 8, patch_size=2, image_resolution=4), (2, 5, 8)),
     (LayerConfig(LayerKind.TRANSFORMER, 8, num_heads=2, mlp_dim=16), (2, 5, 8)),
-    (LayerConfig(LayerKind.DENSE_BLOCK, 8), (2, 5, 8)),
     (LayerConfig(LayerKind.HEAD, 8, num_classes=4), (2, 5, 8)),
 ]
 

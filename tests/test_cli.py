@@ -133,6 +133,16 @@ def test_config_errors_carry_field_paths(tmp_path, capsys):
     assert "evolution.children_per_generation" in err
 
 
+def test_workers_is_not_an_evolution_config_field(tmp_path, capsys):
+    # --workers is a run-time flag; the experiment config cannot carry it.
+    config, out = write_config(tmp_path, evolution={
+        "num_generations": 1, "children_per_generation": 2, "train_cycles": 2,
+        "samples_cap": 48, "workers": 2})
+    assert main(["init", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "evolution.workers" in err and "unknown field" in err
+
+
 def test_replicated_run_writes_sibling_outputs_and_variance(tmp_path, capsys):
     config, out = write_config(tmp_path, replicas=2)
     assert main(["init", "--config", str(config)]) == 0

@@ -273,8 +273,8 @@ class TestScoring:
     def test_worker_count_does_not_change_results(self):
         a = tiny_system(seed=21)
         b = tiny_system(seed=21)
-        ra = run_task_iteration(a, "ta", tiny_cfg(children_per_generation=4, workers=1))
-        rb = run_task_iteration(b, "ta", tiny_cfg(children_per_generation=4, workers=3))
+        ra = run_task_iteration(a, "ta", tiny_cfg(children_per_generation=4), workers=1)
+        rb = run_task_iteration(b, "ta", tiny_cfg(children_per_generation=4), workers=3)
         assert ra.retained_model_id == rb.retained_model_id
         assert [r["model_id"] for r in ra.rows] == [r["model_id"] for r in rb.rows]
 

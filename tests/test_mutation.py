@@ -5,7 +5,7 @@ import pytest
 
 from evograft.errors import AclError, ConfigError, ValidationError
 from evograft.mutation import (GENOME_FIELDS, Genome, MutationSet, SearchSpace, WorkLayer,
-                               apply_mutations, mutate_hyperparameter, sample_mutations)
+                               apply_mutations, sample_mutations)
 from evograft.nn.config import ArchConfig, LayerKind
 from evograft.store import LayerStore, ModelRecord
 from evograft.tasks import AccessPolicy, TaskSpec
@@ -44,35 +44,35 @@ class TestNeighborSteps:
             values = space.values[field]
             for _ in range(200):
                 current = values[int(rng.integers(0, len(values)))]
-                new = mutate_hyperparameter(space, field, current, rng)
+                new = space.neighbor(field, current, rng)
                 assert abs(values.index(new) - values.index(current)) == 1
 
     def test_interior_value_steps_both_ways_evenly(self, space):
         rng = np.random.default_rng(1)
         outcomes = {0.005: 0, 0.02: 0}
         for _ in range(4000):
-            outcomes[mutate_hyperparameter(space, "learning_rate", 0.01, rng)] += 1
+            outcomes[space.neighbor("learning_rate", 0.01, rng)] += 1
         assert outcomes[0.005] + outcomes[0.02] == 4000
         assert abs(outcomes[0.005] / 4000 - 0.5) < 0.03
 
     def test_list_minimum_has_single_neighbor(self, space):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            assert mutate_hyperparameter(space, "momentum", 0.5, rng) == 0.6
+            assert space.neighbor("momentum", 0.5, rng) == 0.6
 
     def test_list_maximum_has_single_neighbor(self, space):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            assert mutate_hyperparameter(space, "mu", 0.30, rng) == 0.28
+            assert space.neighbor("mu", 0.30, rng) == 0.28
 
     def test_booleans_flip(self, space):
         rng = np.random.default_rng(4)
-        assert mutate_hyperparameter(space, "nesterov", False, rng) is True
-        assert mutate_hyperparameter(space, "nesterov", True, rng) is False
+        assert space.neighbor("nesterov", False, rng) is True
+        assert space.neighbor("nesterov", True, rng) is False
 
     def test_off_list_value_rejected(self, space):
         with pytest.raises(ValidationError):
-            mutate_hyperparameter(space, "learning_rate", 0.123, np.random.default_rng(0))
+            space.neighbor("learning_rate", 0.123, np.random.default_rng(0))
 
 
 class TestSampleMutations:

@@ -17,7 +17,6 @@ KIND_CASES = [
     (LayerConfig(LayerKind.CLASS_TOKEN, D), (3, 4, D)),
     (LayerConfig(LayerKind.POSITION_EMBEDDING, D, patch_size=2, image_resolution=4), (3, 5, D)),
     (LayerConfig(LayerKind.TRANSFORMER, D, num_heads=2, mlp_dim=16), (3, 5, D)),
-    (LayerConfig(LayerKind.DENSE_BLOCK, D), (3, 5, D)),
     (LayerConfig(LayerKind.HEAD, D, num_classes=4), (3, 5, D)),
 ]
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import evograft as eg
-from evograft.errors import DataError
+from evograft.cli import main
+from evograft.errors import DataError, ValidationError
 from evograft.evolution import EvolutionConfig, run_task_iteration, score_model
 from evograft.persistence import MANIFEST, load, manifest_hash, save
 from evograft.accounting import param_report
@@ -132,6 +133,36 @@ class TestFailureModes:
         loaded = load(tmp_path / "ck")
         assert "ta" in loaded.tasks
 
+    @pytest.mark.parametrize("field,value", [
+        ("kind", "dense_blok"), ("trained_on", None), ("trained_on", 5),
+        ("config", {"kind": "head", "hidden_dim": "wide"}),
+    ], ids=["unknown-kind", "missing-key", "wrong-type", "bad-config"])
+    def test_malformed_layer_entry_is_a_data_error(self, tmp_path, field, value):
+        state = built_state(evolved=False)
+        save(state, tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
+        entry = next(iter(manifest["layers"].values()))
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="malformed manifest entry"):
+            load(tmp_path / "ck")
+        assert main(["eval", "ta", "--checkpoint", str(tmp_path / "ck")]) == 3
+
+    def test_head_width_disagreeing_with_task_is_rejected(self, tmp_path):
+        # The task's recipe says 4 classes while the retained head has 6 outputs.
+        state = built_state()
+        save(state, tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
+        task = manifest["tasks"]["ta"]
+        task["num_classes"] = task["recipe"]["num_classes"] = 4
+        (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="must have 4 outputs, got 6"):
+            load(tmp_path / "ck")
+        assert main(["eval", "ta", "--checkpoint", str(tmp_path / "ck")]) == 3
+
     def test_partial_write_never_loadable(self, tmp_path):
         # manifest is written last: blobs without a manifest are not a checkpoint
         state = built_state(evolved=False)
@@ -141,38 +172,57 @@ class TestFailureModes:
             load(tmp_path / "ck")
 
 
+def interrupt_and_resume(tmp_path, edit_mid=None, workers=1):
+    """Run one iteration straight and once killed at a barrier and resumed from
+    its checkpoint (after `edit_mid` rewrites the barrier manifest); returns both
+    final manifest hashes."""
+    cfg = EvolutionConfig(num_generations=3, children_per_generation=2, train_cycles=2,
+                          samples_cap=48, batch_size=16, allow_insert=True)
+
+    # uninterrupted run
+    a = build_root_state(eg.ArchConfig(), seed=14)
+    register_task(a, make_synthetic_glyph_task("ta", 6, 15, 0.0, 5))
+    run_task_iteration(a, "ta", cfg)
+    save(a, tmp_path / "straight")
+
+    # interrupted after generation 2, reloaded, resumed
+    b = build_root_state(eg.ArchConfig(), seed=14)
+    register_task(b, make_synthetic_glyph_task("ta", 6, 15, 0.0, 5))
+
+    class StopAfter(Exception):
+        pass
+
+    def barrier(state, gen):
+        if gen == 1:
+            save(state, tmp_path / "mid")
+            raise StopAfter
+
+    with pytest.raises(StopAfter):
+        run_task_iteration(b, "ta", cfg, on_generation=barrier)
+    if edit_mid is not None:
+        manifest = json.loads((tmp_path / "mid" / MANIFEST).read_text())
+        edit_mid(manifest)
+        (tmp_path / "mid" / MANIFEST).write_text(json.dumps(manifest))
+    resumed = load(tmp_path / "mid")
+    assert resumed.pending is not None
+    assert resumed.pending.generation_done == 2
+    run_task_iteration(resumed, "ta", cfg, workers=workers)
+    save(resumed, tmp_path / "resumed")
+    return manifest_hash(tmp_path / "straight"), manifest_hash(tmp_path / "resumed")
+
+
 class TestResumeEquivalence:
     def test_interrupt_at_generation_barrier_reproduces_final_manifest(self, tmp_path):
-        cfg = EvolutionConfig(num_generations=3, children_per_generation=2, train_cycles=2,
-                              samples_cap=48, batch_size=16, allow_insert=True)
+        straight, resumed = interrupt_and_resume(tmp_path)
+        assert straight == resumed
 
-        # uninterrupted run
-        a = build_root_state(eg.ArchConfig(), seed=14)
-        register_task(a, make_synthetic_glyph_task("ta", 6, 15, 0.0, 5))
-        run_task_iteration(a, "ta", cfg)
-        save(a, tmp_path / "straight")
+    def test_barrier_checkpoint_with_legacy_workers_field_resumes(self, tmp_path):
+        # Older checkpoints persisted the worker count inside the pending config.
+        def add_workers(manifest):
+            manifest["pending"]["econfig"]["workers"] = 2
 
-        # interrupted after generation 2, reloaded, resumed
-        b = build_root_state(eg.ArchConfig(), seed=14)
-        register_task(b, make_synthetic_glyph_task("ta", 6, 15, 0.0, 5))
-
-        class StopAfter(Exception):
-            pass
-
-        def barrier(state, gen):
-            if gen == 1:
-                save(state, tmp_path / "mid")
-                raise StopAfter
-
-        with pytest.raises(StopAfter):
-            run_task_iteration(b, "ta", cfg, on_generation=barrier)
-        resumed = load(tmp_path / "mid")
-        assert resumed.pending is not None
-        assert resumed.pending.generation_done == 2
-        run_task_iteration(resumed, "ta", cfg)
-        save(resumed, tmp_path / "resumed")
-
-        assert manifest_hash(tmp_path / "straight") == manifest_hash(tmp_path / "resumed")
+        straight, resumed = interrupt_and_resume(tmp_path, add_workers, workers=2)
+        assert straight == resumed
 
     def test_identical_reruns_share_manifest_hash(self, tmp_path):
         for name in ("x", "y"):

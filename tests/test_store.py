@@ -9,6 +9,7 @@ from evograft.nn.config import ArchConfig, LayerKind
 from evograft.nn.layers import init_params
 from evograft.store import (LayerRecord, LayerStore, ModelRecord, SystemState,
                             garbage_collect, provenance_report, reachable_layers)
+from evograft.tasks import make_synthetic_glyph_task
 
 from conftest import make_record, stripped_path_records
 
@@ -81,14 +82,18 @@ class TestValidation:
             LayerStore().insert(record)
 
     def test_head_width_must_match_task_classes(self, arch):
-        # 10-way head inserted for a 3-class task is rejected.
-        lookup = {"tiny": 3}.get
-        store = LayerStore(head_width_lookup=lookup)
-        bad = make_record(LayerKind.HEAD, arch, creator="tiny", num_classes=10)
+        # A model of a 3-class task whose head has 10 outputs is rejected.
+        records = stripped_path_records(arch, num_classes=3, creator="tiny")
+        wide = make_record(LayerKind.HEAD, arch, creator="tiny", num_classes=10)
+        state = build_state(arch, records + [wide], {})
+        state.tasks["tiny"] = make_synthetic_glyph_task("tiny", 3, 10, 0.0, 1)
+        state.check_head_width(make_model("tiny", [r.id for r in records]))
+        bad = make_model("tiny", [r.id for r in records[:3]] + [wide.id])
+        with pytest.raises(ValidationError, match="must have 3 outputs, got 10"):
+            state.check_head_width(bad)
+        state.retained_models["tiny"] = bad
         with pytest.raises(ValidationError):
-            store.insert(bad)
-        good = make_record(LayerKind.HEAD, arch, creator="tiny", num_classes=3)
-        store.insert(good)
+            state.validate_references()
 
     def test_shape_mismatch_rejected(self, arch):
         cfg = arch.layer_config(LayerKind.HEAD, num_classes=4)
@@ -209,7 +214,7 @@ class TestProvenance:
         ids = []
         for i in range(6):
             hist = tuple((f"t{j}", int(rng.integers(1, 500))) for j in range(int(rng.integers(1, 5))))
-            rec = make_record(LayerKind.DENSE_BLOCK, arch, seed=100 + i, creator="t0", trained_on=hist)
+            rec = make_record(LayerKind.TRANSFORMER, arch, seed=100 + i, creator="t0", trained_on=hist)
             store.insert(rec)
             ids.append(rec.id)
         model = make_model("t0", ids)
