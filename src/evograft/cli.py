@@ -131,6 +131,7 @@ def _expand_schedule(schedule: list[dict], evo: dict):
 
 
 def cmd_run(args) -> int:
+    _expect(args.workers >= 1, "--workers", "must be >= 1")
     cfg = _load_config(args.config)
     arch, root, tasks, schedule, evo, replicas = _parse_experiment(cfg)
     if args.replicas is not None:

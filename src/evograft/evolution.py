@@ -334,7 +334,7 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
             crng = make_rng(derive_seed(seed, task_name, gen_id, ci))
             parent = sample_parent(active, others, task, crng, state.store, state.tasks)
             delta = sample_mutations(parent, task, cfg.allow_insert, crng, space,
-                                     state.store, insert_config=insert_cfg)
+                                     insert_config=insert_cfg)
             child = apply_mutations(parent, delta, state.store, crng, task,
                                     acl_check=lambda rec: acl_allows(task, rec, state.tasks))
             parent_score = parent.score if parent.task == task_name else None

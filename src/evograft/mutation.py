@@ -139,7 +139,7 @@ class MutationSet:
 
 
 def sample_mutations(parent: ModelRecord, child_task: "TaskSpec", allow_insert: bool,
-                     rng: np.random.Generator, space: SearchSpace, store: LayerStore,
+                     rng: np.random.Generator, space: SearchSpace,
                      insert_config: LayerConfig | None = None) -> MutationSet:
     """Independently flag each eligible item with probability parent.genome.mu.
 

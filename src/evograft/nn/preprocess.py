@@ -25,8 +25,7 @@ _LUMA = (0.299, 0.587, 0.114)
 
 def _batch_crop_resize(images: np.ndarray, tops, lefts, heights, widths, out: int) -> np.ndarray:
     """Bilinear crop-and-resize of [B,H,W,C] with per-image boxes (align_corners=False)."""
-    b, h, w, _ = images.shape
-    idx_b = np.arange(b)[:, None, None]
+    b, h, w, c = images.shape
     sy = heights.astype(np.float32) / out
     sx = widths.astype(np.float32) / out
     ys = (np.arange(out, dtype=np.float32)[None, :] + 0.5) * sy[:, None] - 0.5 + tops[:, None]
@@ -39,10 +38,15 @@ def _batch_crop_resize(images: np.ndarray, tops, lefts, heights, widths, out: in
     x1 = np.minimum(x0 + 1, (lefts + widths - 1)[:, None].astype(np.int64))
     wy = (ys - y0).astype(np.float32)[:, :, None, None]
     wx = (xs - x0).astype(np.float32)[:, None, :, None]
-    tl = images[idx_b, y0[:, :, None], x0[:, None, :]]
-    tr = images[idx_b, y0[:, :, None], x1[:, None, :]]
-    bl = images[idx_b, y1[:, :, None], x0[:, None, :]]
-    br = images[idx_b, y1[:, :, None], x1[:, None, :]]
+    # One flat row gather per corner: pixel (img, y, x) is row (img*h + y)*w + x.
+    pixels = images.reshape(b * h * w, c)
+    rows = np.arange(b, dtype=np.int64)[:, None] * h
+    row0 = ((rows + y0) * w)[:, :, None]
+    row1 = ((rows + y1) * w)[:, :, None]
+    tl = pixels.take(row0 + x0[:, None, :], axis=0)
+    tr = pixels.take(row0 + x1[:, None, :], axis=0)
+    bl = pixels.take(row1 + x0[:, None, :], axis=0)
+    br = pixels.take(row1 + x1[:, None, :], axis=0)
     top = tl * (1 - wx) + tr * wx
     bot = bl * (1 - wx) + br * wx
     return (top * (1 - wy) + bot * wy).astype(np.float32)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .mutation import Genome
 from .nn.config import ArchConfig, LayerConfig, LayerKind
 from .nn.layers import PARAM_ORDER
@@ -170,10 +170,12 @@ def load(directory) -> SystemState:
 
     tasks: dict[str, TaskSpec] = {}
     for name, td in manifest.get("tasks", {}).items():
-        acl = AccessPolicy.from_dict(td["acl"])
-        spec = build_task(td["recipe"], acl)
-        if spec.num_classes != td["num_classes"] or list(spec.input_shape) != list(td["input"]):
-            raise DataError(f"rebuilt task {name!r} does not match its manifest entry")
+        try:
+            spec = build_task(td["recipe"], AccessPolicy.from_dict(td["acl"]))
+            if spec.num_classes != td["num_classes"] or list(spec.input_shape) != list(td["input"]):
+                raise DataError(f"rebuilt task {name!r} does not match its manifest entry")
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise DataError(f"malformed manifest entry for task {name}: {exc!r}") from exc
         tasks[name] = spec
 
     store = LayerStore()

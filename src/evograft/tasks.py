@@ -159,27 +159,32 @@ def _class_assets(num_classes: int, grid: int, patch: int, rng: np.random.Genera
     return textures, bands
 
 
-def _render_glyph(texture, band, shift: int, grid, patch, noise, rng):
-    """Textured band glyph, jittered by a whole-cell horizontal translation.
+def _glyph(texture, band, shift: int, grid: int, patch: int) -> np.ndarray:
+    """Noise-free float64 [res, res] glyph, jittered by a whole-cell horizontal shift.
 
     Cell-aligned translation keeps the texture tiling in phase with the patch
     grid, so within-class pixel variation is real while the per-class
-    patch-pooled signature is exactly translation-invariant.
+    patch-pooled signature is exactly translation-invariant. Every cell is 0.0
+    or 1.0, so the broadcast product equals kron(cells, ones) * tile(texture).
     """
     r0, c0, rh, cw = band
     cells = np.zeros((grid, grid), dtype=np.float64)
     cells[r0: r0 + rh, c0 + shift: c0 + shift + cw] = 1.0
-    img = np.kron(cells, np.ones((patch, patch))) * np.tile(texture, (grid, grid))
-    if noise > 0:
-        img = img + rng.normal(0.0, noise, img.shape)
-    img = np.clip(img, 0.0, 1.0)
-    return np.round(img * 255.0).astype(np.uint8)[..., None]
+    return (cells[:, None, :, None] * texture[None, :, None, :]).reshape(grid * patch, grid * patch)
+
+
+def _quantize(img: np.ndarray) -> np.ndarray:
+    return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)[..., None]
 
 
 def make_synthetic_glyph_task(name: str, num_classes: int, samples_per_class: int,
                               noise: float, seed: int, acl: AccessPolicy | None = None,
                               resolution: int = 32, patch_size: int = 4) -> TaskSpec:
-    """Procedurally rendered glyph task, deterministic under seed, split 80/10/10."""
+    """Procedurally rendered glyph task, deterministic under seed, split 80/10/10.
+
+    Each distinct (class, shift) glyph is rendered once; per sample the rng
+    draws the shift and, when noise > 0, the pixel noise, in that order.
+    """
     if num_classes < 2 or samples_per_class < 10:
         raise ConfigError("need num_classes >= 2 and samples_per_class >= 10")
     if resolution % patch_size != 0 or resolution // patch_size < 4:
@@ -187,6 +192,10 @@ def make_synthetic_glyph_task(name: str, num_classes: int, samples_per_class: in
     grid = resolution // patch_size
     rng = make_rng(seed)
     textures, bands = _class_assets(num_classes, grid, patch_size, rng)
+    glyphs = [[_glyph(textures[c], bands[c], shift, grid, patch_size) for shift in (-1, 0, 1)]
+              for c in range(num_classes)]
+    if not noise > 0:
+        glyphs = [[_quantize(g) for g in row] for row in glyphs]
 
     n_tr = int(samples_per_class * 0.8)
     n_val = max(1, int(samples_per_class * 0.1))
@@ -195,17 +204,12 @@ def make_synthetic_glyph_task(name: str, num_classes: int, samples_per_class: in
 
     splits: dict[str, Dataset] = {}
     for split in SPLITS:
-        n = counts[split]
-        images = np.empty((num_classes * n, resolution, resolution, 1), dtype=np.uint8)
-        labels = np.empty(num_classes * n, dtype=np.uint16)
-        i = 0
-        for c in range(num_classes):
-            for _ in range(n):
-                shift = int(rng.integers(-1, 2))
-                images[i] = _render_glyph(textures[c], bands[c], shift, grid, patch_size, noise, rng)
-                labels[i] = c
-                i += 1
-        splits[split] = Dataset(images=images, labels=labels)
+        labels = np.repeat(np.arange(num_classes, dtype=np.uint16), counts[split])
+        images = []
+        for c in labels:
+            img = glyphs[c][int(rng.integers(-1, 2)) + 1]
+            images.append(_quantize(img + rng.normal(0.0, noise, img.shape)) if noise > 0 else img)
+        splits[split] = Dataset(images=np.stack(images), labels=labels)
 
     recipe = {"type": "synthetic_glyphs", "name": name, "num_classes": num_classes,
               "samples_per_class": samples_per_class, "noise": noise, "seed": seed,

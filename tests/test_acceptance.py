@@ -186,7 +186,6 @@ def test_criterion_04_mutation_statistics():
     neighbor_violations = 0
     for _ in range(n):
         delta = sample_mutations(parent, task, allow_insert=True, rng=rng, space=space,
-                                 store=state.store,
                                  insert_config=arch.layer_config(LayerKind.TRANSFORMER))
         for f, v in delta.hyper_mutations:
             hyper_hits[f] += 1

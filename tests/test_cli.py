@@ -143,6 +143,17 @@ def test_workers_is_not_an_evolution_config_field(tmp_path, capsys):
     assert "evolution.workers" in err and "unknown field" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_run_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    config, out = write_config(tmp_path)
+    assert main(["init", "--config", str(config)]) == 0
+    before = manifest_hash(out / "latest")
+    assert main(["run", "--config", str(config), "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert manifest_hash(out / "latest") == before
+    assert not (out / "reports").exists()
+
+
 def test_replicated_run_writes_sibling_outputs_and_variance(tmp_path, capsys):
     config, out = write_config(tmp_path, replicas=2)
     assert main(["init", "--config", str(config)]) == 0

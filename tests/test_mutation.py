@@ -77,9 +77,9 @@ class TestNeighborSteps:
 
 class TestSampleMutations:
     def test_mu_zero_yields_only_the_mandatory_head_action(self, space, arch):
-        store, parent = parent_in_store(arch, task="taskx", mu=0.0, num_classes=5)
+        _, parent = parent_in_store(arch, task="taskx", mu=0.0, num_classes=5)
         delta = sample_mutations(parent, fake_task("taskx"), allow_insert=True,
-                                 rng=np.random.default_rng(0), space=space, store=store,
+                                 rng=np.random.default_rng(0), space=space,
                                  insert_config=arch.layer_config(LayerKind.TRANSFORMER))
         assert delta.hyper_mutations == ()
         assert delta.inserted_layers == ()
@@ -88,14 +88,14 @@ class TestSampleMutations:
         assert delta.cloned_positions == {len(parent.path) - 1}
 
     def test_task_change_forces_fresh_head(self, space, arch):
-        store, parent = parent_in_store(arch, task="root", mu=0.0)
+        _, parent = parent_in_store(arch, task="root", mu=0.0)
         delta = sample_mutations(parent, fake_task("other"), allow_insert=False,
-                                 rng=np.random.default_rng(0), space=space, store=store)
+                                 rng=np.random.default_rng(0), space=space)
         assert delta.new_head
         assert len(parent.path) - 1 not in delta.cloned_positions
 
     def test_per_item_application_rate_tracks_mu(self, space, arch):
-        store, parent = parent_in_store(arch, task="taskx", mu=0.2, num_classes=5)
+        _, parent = parent_in_store(arch, task="taskx", mu=0.2, num_classes=5)
         rng = np.random.default_rng(7)
         n = 4000
         hyper_hits = {f: 0 for f in GENOME_FIELDS}
@@ -103,7 +103,7 @@ class TestSampleMutations:
         insert_hits = 0
         for _ in range(n):
             delta = sample_mutations(parent, fake_task("taskx"), allow_insert=True, rng=rng,
-                                     space=space, store=store,
+                                     space=space,
                                      insert_config=arch.layer_config(LayerKind.TRANSFORMER))
             for f, _v in delta.hyper_mutations:
                 hyper_hits[f] += 1
@@ -118,10 +118,10 @@ class TestSampleMutations:
         assert abs(insert_hits / n - 0.2) < 0.025
 
     def test_insert_requires_config(self, space, arch):
-        store, parent = parent_in_store(arch)
+        _, parent = parent_in_store(arch)
         with pytest.raises(ConfigError):
             sample_mutations(parent, fake_task(), allow_insert=True,
-                             rng=np.random.default_rng(0), space=space, store=store)
+                             rng=np.random.default_rng(0), space=space)
 
 
 class TestApplyMutations:
@@ -182,7 +182,7 @@ class TestApplyMutations:
         rng = np.random.default_rng(11)
         for _ in range(100):
             delta = sample_mutations(parent, fake_task("taskx"), allow_insert=False,
-                                     rng=rng, space=space, store=store)
+                                     rng=rng, space=space)
             child = apply_mutations(parent, delta, store, rng, fake_task("taskx"))
             space.validate_genome(child.genome)
             for field, value in delta.hyper_mutations:

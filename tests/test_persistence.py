@@ -151,6 +151,23 @@ class TestFailureModes:
             load(tmp_path / "ck")
         assert main(["eval", "ta", "--checkpoint", str(tmp_path / "ck")]) == 3
 
+    @pytest.mark.parametrize("edit", [
+        lambda task: task.pop("acl"),
+        lambda task: task["acl"].update(mode="secret"),
+        lambda task: task["recipe"].pop("seed"),
+        lambda task: task["recipe"].update(type="mystery"),
+    ], ids=["missing-key", "bad-acl-mode", "missing-recipe-field", "unknown-recipe-type"])
+    def test_malformed_task_entry_is_a_data_error(self, tmp_path, capsys, edit):
+        state = built_state(evolved=False)
+        save(state, tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
+        edit(manifest["tasks"]["ta"])
+        (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="malformed manifest entry for task ta"):
+            load(tmp_path / "ck")
+        assert main(["report", "params", "--checkpoint", str(tmp_path / "ck")]) == 3
+        assert "malformed manifest entry for task ta" in capsys.readouterr().err
+
     def test_head_width_disagreeing_with_task_is_rejected(self, tmp_path):
         # The task's recipe says 4 classes while the retained head has 6 outputs.
         state = built_state()

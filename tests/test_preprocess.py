@@ -3,7 +3,7 @@ import pytest
 
 from evograft.errors import StructuralError
 from evograft.nn.config import Batch, PreprocConfig
-from evograft.nn.preprocess import preprocess
+from evograft.nn.preprocess import _batch_crop_resize, preprocess
 
 
 def batch_of(images):
@@ -132,3 +132,46 @@ class TestDeterminismAndRange:
         out = preprocess(batch_of(images), cfg, train_mode=True,
                          rng=np.random.default_rng(11), resolution=32)
         assert out.images.shape == (5, 32, 32, 1)
+
+
+def reference_crop_resize(images, tops, lefts, heights, widths, out):
+    """Crop-resize by 4-way multi-array fancy indexing; the flat gather must match it."""
+    b = images.shape[0]
+    idx_b = np.arange(b)[:, None, None]
+    sy = heights.astype(np.float32) / out
+    sx = widths.astype(np.float32) / out
+    ys = (np.arange(out, dtype=np.float32)[None, :] + 0.5) * sy[:, None] - 0.5 + tops[:, None]
+    xs = (np.arange(out, dtype=np.float32)[None, :] + 0.5) * sx[:, None] - 0.5 + lefts[:, None]
+    ys = np.clip(ys, tops[:, None], (tops + heights - 1)[:, None])
+    xs = np.clip(xs, lefts[:, None], (lefts + widths - 1)[:, None])
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, (tops + heights - 1)[:, None].astype(np.int64))
+    x1 = np.minimum(x0 + 1, (lefts + widths - 1)[:, None].astype(np.int64))
+    wy = (ys - y0).astype(np.float32)[:, :, None, None]
+    wx = (xs - x0).astype(np.float32)[:, None, :, None]
+    tl = images[idx_b, y0[:, :, None], x0[:, None, :]]
+    tr = images[idx_b, y0[:, :, None], x1[:, None, :]]
+    bl = images[idx_b, y1[:, :, None], x0[:, None, :]]
+    br = images[idx_b, y1[:, :, None], x1[:, None, :]]
+    top = tl * (1 - wx) + tr * wx
+    bot = bl * (1 - wx) + br * wx
+    return (top * (1 - wy) + bot * wy).astype(np.float32)
+
+
+def test_crop_resize_matches_fancy_index_reference():
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        b, h, w = (int(x) for x in rng.integers(1, 20, 3) + (0, 3, 3))
+        c = int(rng.choice([1, 3]))
+        out = int(rng.integers(2, 40))
+        images = rng.random((b, h, w, c)).astype(np.float32)
+        heights = np.floor(rng.random(b) * h) + 1
+        widths = np.floor(rng.random(b) * w) + 1
+        tops = np.floor(rng.random(b) * (h - heights + 1))
+        lefts = np.floor(rng.random(b) * (w - widths + 1))
+        boxes = [a.astype(np.float32) for a in (tops, lefts, heights, widths)]
+        got = _batch_crop_resize(images, *boxes, out)
+        want = reference_crop_resize(images, *boxes, out)
+        assert got.shape == want.shape == (b, out, out, c), trial
+        assert got.tobytes() == want.tobytes(), trial

@@ -5,9 +5,10 @@ import pytest
 
 from evograft.errors import ConfigError, DataError, InvariantError
 from evograft.nn.config import LayerKind
-from evograft.tasks import (AccessMode, AccessPolicy, Dataset, TaskSpec, acl_allows,
-                            build_task, load_raw_dataset, make_synthetic_glyph_task,
+from evograft.tasks import (SPLITS, AccessMode, AccessPolicy, Dataset, TaskSpec, _class_assets,
+                            acl_allows, build_task, load_raw_dataset, make_synthetic_glyph_task,
                             save_raw_dataset)
+from evograft.util import make_rng
 
 from conftest import make_record
 
@@ -15,6 +16,54 @@ from conftest import make_record
 def small_task(name="t", seed=3, noise=0.0, classes=10, spc=20):
     return make_synthetic_glyph_task(name, num_classes=classes, samples_per_class=spc,
                                      noise=noise, seed=seed)
+
+
+def reference_glyph_splits(num_classes, samples_per_class, noise, seed, resolution, patch_size):
+    """Per-sample kron/tile renderer: the generator must reproduce its bytes."""
+    grid = resolution // patch_size
+    rng = make_rng(seed)
+    textures, bands = _class_assets(num_classes, grid, patch_size, rng)
+    n_tr = int(samples_per_class * 0.8)
+    n_val = max(1, int(samples_per_class * 0.1))
+    counts = {"train": n_tr, "validation": n_val, "test": samples_per_class - n_tr - n_val}
+    splits = {}
+    for split in SPLITS:
+        images, labels = [], []
+        for c in range(num_classes):
+            r0, c0, rh, cw = bands[c]
+            for _ in range(counts[split]):
+                shift = int(rng.integers(-1, 2))
+                cells = np.zeros((grid, grid), dtype=np.float64)
+                cells[r0: r0 + rh, c0 + shift: c0 + shift + cw] = 1.0
+                img = (np.kron(cells, np.ones((patch_size, patch_size)))
+                       * np.tile(textures[c], (grid, grid)))
+                if noise > 0:
+                    img = img + rng.normal(0.0, noise, img.shape)
+                img = np.clip(img, 0.0, 1.0)
+                images.append(np.round(img * 255.0).astype(np.uint8)[..., None])
+                labels.append(c)
+        splits[split] = (np.stack(images), np.asarray(labels, dtype=np.uint16))
+    return splits
+
+
+@pytest.mark.parametrize("classes,spc,noise,seed,resolution,patch", [
+    (3, 10, 0.0, 1, 32, 4),    # fewer than 6 classes: no twins
+    (5, 12, 0.2, 2, 32, 4),
+    (6, 20, 0.0, 3, 32, 4),    # twins
+    (8, 15, 0.1, 4, 32, 4),
+    (25, 30, 0.3, 100, 32, 4),
+    (7, 10, 0.05, 5, 24, 3),
+])
+def test_generator_matches_per_sample_reference(classes, spc, noise, seed, resolution, patch):
+    task = make_synthetic_glyph_task("ref", classes, spc, noise, seed,
+                                     resolution=resolution, patch_size=patch)
+    reference = reference_glyph_splits(classes, spc, noise, seed, resolution, patch)
+    for split in SPLITS:
+        images, labels = reference[split]
+        got = task.splits[split]
+        assert got.images.dtype == images.dtype and got.images.shape == images.shape
+        assert got.images.tobytes() == images.tobytes(), split
+        assert got.labels.dtype == labels.dtype and got.labels.tobytes() == labels.tobytes(), split
 
 
 class TestGlyphGenerator:
