@@ -15,15 +15,14 @@ import sys
 from pathlib import Path
 
 from . import accounting, persistence
-from .errors import (AclError, ConfigError, CorruptionError, DataError, EvograftError,
-                     InvariantError, StructuralError, ValidationError)
-from .evolution import EvolutionConfig, run_schedule, score_model
+from .errors import AclError, ConfigError, DataError, EvograftError, ValidationError
+from .evolution import EvolutionConfig, run_task_iteration, score_model
 from .mutation import SearchSpace
 from .nn.config import ArchConfig
-from .store import garbage_collect, provenance_report
-from .system import build_root_state, register_task
+from .store import SystemState, garbage_collect, provenance_report
+from .system import ROOT_TASK, build_root_state, register_task
 from .tasks import AccessPolicy, TaskSpec, build_task
-from .util import canonical_json
+from .util import canonical_json, derive_seed, is_count
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -62,7 +61,8 @@ def _parse_experiment(cfg: dict):
     task_names = {t.get("name") for t in tasks}
     for i, entry in enumerate(schedule):
         _expect(isinstance(entry, dict) and "task" in entry, f"schedule[{i}]", "needs a task")
-        _expect(int(entry.get("iterations", 1)) >= 1, f"schedule[{i}].iterations", "must be >= 1")
+        _expect(is_count(entry.get("iterations", 1)), f"schedule[{i}].iterations",
+                "must be an integer >= 1")
         if root["mode"] != "load-checkpoint":
             _expect(entry["task"] in task_names, f"schedule[{i}].task",
                     f"unknown task {entry['task']!r}")
@@ -70,13 +70,17 @@ def _parse_experiment(cfg: dict):
     evo = cfg.get("evolution", {})
     for key in ("num_generations", "children_per_generation", "train_cycles", "samples_cap"):
         _expect(key in evo, f"evolution.{key}", "required")
-        _expect(isinstance(evo[key], int) and evo[key] > 0, f"evolution.{key}", "must be a positive integer")
     allowed = set(EvolutionConfig.__dataclass_fields__)
     for key in evo:
         _expect(key in allowed, f"evolution.{key}", f"unknown field (expected one of {sorted(allowed)})")
-    replicas = int(cfg.get("replicas", 1))
-    _expect(replicas >= 1, "replicas", "must be >= 1")
-    return arch, root, tasks, schedule, evo, replicas
+    econfig = EvolutionConfig.from_dict(evo)
+    try:
+        econfig.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"evolution.{exc}") from exc
+    replicas = cfg.get("replicas", 1)
+    _expect(is_count(replicas), "replicas", "must be an integer >= 1")
+    return arch, root, tasks, schedule, econfig, replicas
 
 
 def _build_task_spec(entry: dict) -> TaskSpec:
@@ -89,8 +93,8 @@ def _build_task_spec(entry: dict) -> TaskSpec:
         raise ConfigError(f"tasks[{name}]: {exc!r}") from exc
 
 
-def _search_space(cfg: dict, args) -> SearchSpace:
-    path = getattr(args, "search_space", None) or cfg.get("search_space")
+def _search_space(cfg: dict) -> SearchSpace:
+    path = cfg.get("search_space")
     return SearchSpace.from_file(path) if path else SearchSpace.default()
 
 
@@ -100,9 +104,9 @@ def _latest_dir(output_dir: str) -> Path:
 
 def cmd_init(args) -> int:
     cfg = _load_config(args.config)
-    arch, root, tasks, schedule, evo, replicas = _parse_experiment(cfg)
+    arch, root, tasks, schedule, _, _ = _parse_experiment(cfg)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    space = _search_space(cfg, args)
+    space = _search_space(cfg)
     if root["mode"] == "load-checkpoint":
         state = persistence.load(root["path"])
         state.rng_seed = seed if args.seed is not None else state.rng_seed
@@ -120,60 +124,49 @@ def cmd_init(args) -> int:
     return 0
 
 
-def _expand_schedule(schedule: list[dict], evo: dict):
-    # replica_seed stays unset: iterations derive seeds from the checkpoint state
-    expanded = []
-    base = EvolutionConfig.from_dict(evo)
-    for entry in schedule:
-        for _ in range(int(entry.get("iterations", 1))):
-            expanded.append((entry["task"], base))
-    return expanded
+def _score_replica(state: SystemState, accuracies: dict[str, list[float]],
+                   samples_per_class: dict[str, int]) -> None:
+    """Append the test accuracy of each retained model except the root to its
+    task's list: the figures the `run` summary and replica variance compare."""
+    for t, m in sorted(state.retained_models.items()):
+        if t != ROOT_TASK:
+            accuracies.setdefault(t, []).append(score_model(m, state.tasks[t], state.store, split="test"))
+            samples_per_class[t] = state.tasks[t].recipe.get("samples_per_class", 0)
 
 
 def cmd_run(args) -> int:
     _expect(args.workers >= 1, "--workers", "must be >= 1")
+    _expect(args.replicas is None or args.replicas >= 1, "--replicas", "must be >= 1")
     cfg = _load_config(args.config)
-    arch, root, tasks, schedule, evo, replicas = _parse_experiment(cfg)
+    _, _, _, schedule, econfig, replicas = _parse_experiment(cfg)
     if args.replicas is not None:
         replicas = args.replicas
     out_root = Path(args.checkpoint or cfg["output_dir"])
     latest = _latest_dir(out_root)
     if not (latest / persistence.MANIFEST).exists():
         raise ConfigError(f"no initialized checkpoint at {latest}; run init first")
-    state = persistence.load(latest)
-    space = _search_space(cfg, args)
-    expanded = _expand_schedule(schedule, evo)
-
-    def replica_dir(r: int) -> Path:
-        return out_root / f"replica_{r}" if replicas > 1 else out_root
-
-    def on_iteration(r: int, i: int, rep_state, report) -> None:
-        base = replica_dir(r)
-        persistence.save(rep_state, base / "checkpoints" / f"{i:03d}_{report.task}")
-        persistence.save(rep_state, base / "latest")
-        reports = base / "reports"
-        reports.mkdir(parents=True, exist_ok=True)
-        with open(reports / "children.jsonl", "a") as fh:
-            for row in report.rows:
-                fh.write(canonical_json(row) + "\n")
-        pr = accounting.param_report(rep_state)
-        (reports / f"params_{i:03d}_{report.task}.csv").write_text(accounting.params_csv(pr))
-
-    states, accuracies, variance = run_schedule(state, expanded, replicas=replicas, space=space,
-                                                on_iteration=on_iteration, workers=args.workers)
-    for r, rep in enumerate(states):
-        base = replica_dir(r)
-        reports = base / "reports"
-        reports.mkdir(parents=True, exist_ok=True)
-        (reports / "graph.dot").write_text(accounting.export_graph(rep, "dot"))
-        (reports / "graph.json").write_text(accounting.export_graph(rep, "json"))
-        prov = {t: provenance_report(m, rep.store)
-                for t, m in sorted(rep.retained_models.items()) if t != "root"}
-        (reports / "provenance.json").write_text(canonical_json(prov))
+    space = _search_space(cfg)
+    iterations = [entry["task"] for entry in schedule for _ in range(entry.get("iterations", 1))]
+    accuracies: dict[str, list[float]] = {}
+    samples_per_class: dict[str, int] = {}
+    for r in range(replicas):
+        rep = persistence.load(latest)
+        base = out_root
+        if replicas > 1:
+            rep.rng_seed = derive_seed(rep.rng_seed, "replica", r)
+            base = out_root / f"replica_{r}"
+        for i, task in enumerate(iterations):
+            report = run_task_iteration(rep, task, econfig, space=space, workers=args.workers)
+            persistence.save(rep, base / "checkpoints" / f"{i:03d}_{task}")
+            persistence.save(rep, base / "latest")
+            (base / "reports").mkdir(parents=True, exist_ok=True)
+            with open(base / "reports" / "children.jsonl", "a") as fh:
+                fh.writelines(canonical_json(row) + "\n" for row in report.rows)
+        _score_replica(rep, accuracies, samples_per_class)
     summary = {"replicas": replicas, "test_accuracy": accuracies}
     if replicas > 1:
-        (out_root / "variance.json").write_text(canonical_json(variance))
-        summary["variance"] = variance
+        summary["variance"] = accounting.variance_summary(accuracies, samples_per_class)
+        (out_root / "variance.json").write_text(canonical_json(summary["variance"]))
     print(canonical_json(summary))
     return 0
 
@@ -192,18 +185,15 @@ def cmd_report(args) -> int:
         out = accounting.export_graph(state, "json" if fmt == "json" else "dot")
     elif args.kind == "variance":
         root = Path(args.checkpoint)
-        replica_dirs = sorted(root.glob("replica_*/latest"))
+        # replica order, as `run` scored them: replica_10 after replica_9
+        replica_dirs = sorted(root.glob("replica_*/latest"),
+                              key=lambda d: (len(d.parent.name), d.parent.name))
         if not replica_dirs:
             raise DataError(f"no replica checkpoints under {root}")
         accs: dict[str, list[float]] = {}
         spc: dict[str, int] = {}
         for d in replica_dirs:
-            rep = persistence.load(d)
-            for t, m in sorted(rep.retained_models.items()):
-                if t == "root":
-                    continue
-                accs.setdefault(t, []).append(score_model(m, rep.tasks[t], rep.store, split="test"))
-                spc[t] = rep.tasks[t].recipe.get("samples_per_class", 0)
+            _score_replica(persistence.load(d), accs, spc)
         out = canonical_json(accounting.variance_summary(accs, spc))
     else:
         raise ConfigError(f"unknown report kind {args.kind!r}")
@@ -254,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--config", required=True)
     p_init.add_argument("--checkpoint", default=None, help="override output directory")
     p_init.add_argument("--seed", type=int, default=None)
-    p_init.add_argument("--search-space", dest="search_space", default=None)
     p_init.set_defaults(func=cmd_init)
 
     p_run = sub.add_parser("run", help="execute the configured task schedule")
@@ -263,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--workers", type=int, default=1,
                        help="threads training each generation; not part of the experiment config")
     p_run.add_argument("--replicas", type=int, default=None)
-    p_run.add_argument("--search-space", dest="search_space", default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="export reports from a checkpoint")
@@ -296,9 +284,6 @@ def main(argv=None) -> int:
     except (DataError, ValidationError, AclError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CorruptionError, InvariantError, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except EvograftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

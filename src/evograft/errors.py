@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all evograft modules.
 
 The CLI maps these onto its exit-code contract:
-    ConfigError -> 2, DataError -> 3, CorruptionError/InvariantError -> 4.
+    ConfigError -> 2;
+    DataError, ValidationError, AclError -> 3;
+    CorruptionError, InvariantError, StructuralError -> 4.
 """
 
 

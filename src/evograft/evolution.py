@@ -1,6 +1,5 @@
 """The active-task iteration engine: parent sampling, child training with
-intermediate validation, early pruning, best-model retention, and replicated
-schedules.
+intermediate validation, early pruning and best-model retention.
 
 One iteration runs num_generations generations of children_per_generation
 children each. Parents and mutations for a whole generation are sampled
@@ -16,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .nn.preprocess import preprocess
 from .store import (ArchiveEntry, LayerRecord, LayerStore, ModelRecord, PendingIteration,
                     SystemState, garbage_collect)
 from .tasks import TaskSpec, acl_allows, model_allowed
-from .util import derive_seed, make_rng
+from .util import derive_seed, is_count, make_rng
 
 EVAL_BATCH = 64
 
@@ -41,15 +41,17 @@ class EvolutionConfig:
     children_per_generation: int
     train_cycles: int
     samples_cap: int
-    replica_seed: int | None = None
     batch_size: int = 16
     allow_insert: bool = False
 
     def validate(self) -> None:
+        """Counts must be ints >= 1 and allow_insert a bool; each message starts with the field name."""
         for name in ("num_generations", "children_per_generation", "train_cycles",
                      "samples_cap", "batch_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not is_count(getattr(self, name)):
+                raise ConfigError(f"{name}: must be a positive integer")
+        if not isinstance(self.allow_insert, bool):
+            raise ConfigError("allow_insert: must be true or false")
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvolutionConfig":
@@ -87,9 +89,16 @@ class IterationReport:
     removed_layers: int = 0
 
 
-def materialize_path(model: ModelRecord, store: LayerStore) -> list[PathLayer]:
-    return [PathLayer(config=store.get(lid).config, params=store.get(lid).params, trainable=False)
-            for lid in model.path]
+def materialize_path(entries: Iterable[str | WorkLayer], store: LayerStore) -> list[PathLayer]:
+    """Network layers for a path: stored layer ids are frozen, work layers trainable."""
+    layers = []
+    for entry in entries:
+        if isinstance(entry, WorkLayer):
+            layers.append(PathLayer(config=entry.config, params=entry.params, trainable=True))
+        else:
+            rec = store.get(entry)
+            layers.append(PathLayer(config=rec.config, params=rec.params, trainable=False))
+    return layers
 
 
 def model_resolution(path: list[PathLayer]) -> int:
@@ -114,7 +123,7 @@ def score_path(path: list[PathLayer], task: TaskSpec, split: str) -> float:
 
 def score_model(model: ModelRecord, task: TaskSpec, store: LayerStore,
                 split: str = "validation") -> float:
-    return score_path(materialize_path(model, store), task, split)
+    return score_path(materialize_path(model.path, store), task, split)
 
 
 def cycle_sample_count(train_size: int, samples_cap: int) -> int:
@@ -168,17 +177,6 @@ class TrainResult:
     diverged: bool = False
 
 
-def _child_path_layers(child: ChildModel, store: LayerStore) -> list[PathLayer]:
-    layers = []
-    for entry in child.entries:
-        if isinstance(entry, WorkLayer):
-            layers.append(PathLayer(config=entry.config, params=entry.params, trainable=True))
-        else:
-            rec = store.get(entry)
-            layers.append(PathLayer(config=rec.config, params=rec.params, trainable=False))
-    return layers
-
-
 def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
                 rng: np.random.Generator, store: LayerStore,
                 parent_score_on_task: float | None) -> TrainResult:
@@ -187,7 +185,7 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
     meets the retention condition (>= own best so far and >= the parent's score
     when the parent was trained on this task). Frozen layers are untouched.
     """
-    path = _child_path_layers(child, store)
+    path = materialize_path(child.entries, store)
     work = child.work_layers()
     if not work:
         raise InvariantError("child has no trainable layer; the head must be trainable")
@@ -298,7 +296,6 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
     if task_name not in state.tasks:
         raise ConfigError(f"task {task_name!r} is not registered")
     task = state.tasks[task_name]
-    seed = cfg.replica_seed if cfg.replica_seed is not None else state.rng_seed
     insert_cfg = state.arch.layer_config(LayerKind.TRANSFORMER)
 
     if state.pending is not None:
@@ -331,7 +328,7 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
                         key=lambda m: m.created_seq)
         planned = []
         for ci in range(cfg.children_per_generation):
-            crng = make_rng(derive_seed(seed, task_name, gen_id, ci))
+            crng = make_rng(derive_seed(state.rng_seed, task_name, gen_id, ci))
             parent = sample_parent(active, others, task, crng, state.store, state.tasks)
             delta = sample_mutations(parent, task, cfg.allow_insert, crng, space,
                                      insert_config=insert_cfg)
@@ -392,60 +389,3 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
     report.removed_layers = garbage_collect(state)
     return report
 
-
-def clone_state(state: SystemState) -> SystemState:
-    """Independent copy sharing immutable layer records (for system replicas)."""
-    new_store = LayerStore()
-    for lid in state.store.ids():
-        new_store.insert(state.store.get(lid))
-    pending = None
-    if state.pending is not None:
-        pending = PendingIteration(task=state.pending.task,
-                                   generation_done=state.pending.generation_done,
-                                   econfig=dict(state.pending.econfig),
-                                   active_models=[m.clone_bookkeeping()
-                                                  for m in state.pending.active_models])
-    return SystemState(
-        store=new_store, arch=state.arch, tasks=dict(state.tasks),
-        retained_models={t: m.clone_bookkeeping() for t, m in state.retained_models.items()},
-        archive=list(state.archive), rng_seed=state.rng_seed,
-        generation_counter=state.generation_counter, model_seq=state.model_seq,
-        history_offset=state.history_offset, pending=pending,
-    )
-
-
-def run_schedule(state: SystemState, schedule: list[tuple[str, EvolutionConfig]],
-                 replicas: int = 1, space: SearchSpace | None = None,
-                 on_iteration=None, workers: int = 1):
-    """Execute the task sequence on `replicas` independent system copies.
-
-    Returns (final states, per-task test accuracies per replica, variance
-    report). Replica r runs with a seed derived from (state seed, r); the
-    single-replica case runs on the state itself and reports zero-width
-    deviations (std omitted).
-    """
-    from .accounting import variance_summary
-
-    if replicas < 1:
-        raise ConfigError("replicas must be >= 1")
-    states = []
-    for r in range(replicas):
-        rep = state if replicas == 1 else clone_state(state)
-        if replicas > 1:
-            rep.rng_seed = derive_seed(state.rng_seed, "replica", r)
-        states.append(rep)
-    accuracies: dict[str, list[float]] = {}
-    for r, rep in enumerate(states):
-        for i, (task_name, cfg) in enumerate(schedule):
-            report = run_task_iteration(rep, task_name, cfg, space=space, workers=workers)
-            if on_iteration is not None:
-                on_iteration(r, i, rep, report)
-        for task_name, model in sorted(rep.retained_models.items()):
-            if task_name == "root":
-                continue
-            acc = score_model(model, rep.tasks[task_name], rep.store, split="test")
-            accuracies.setdefault(task_name, []).append(acc)
-    samples_per_class = {name: spec.recipe.get("samples_per_class", 0)
-                         for name, spec in states[0].tasks.items()}
-    variance = variance_summary(accuracies, samples_per_class)
-    return states, accuracies, variance

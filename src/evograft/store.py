@@ -136,12 +136,6 @@ class ModelRecord:
     def selections_for(self, task: str) -> int:
         return self.selection_counts.get(task, 0)
 
-    def clone_bookkeeping(self) -> "ModelRecord":
-        """Copy with private mutable bookkeeping (used when replicating a system)."""
-        return ModelRecord(self.model_id, self.task, self.path, self.genome, self.score,
-                           dict(self.selection_counts), self.parent,
-                           self.train_steps_done, self.created_seq)
-
 
 @dataclass(frozen=True)
 class ArchiveEntry:

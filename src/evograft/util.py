@@ -40,6 +40,11 @@ def derive_seed(*parts: Any) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
+def is_count(value: Any) -> bool:
+    """An int >= 1; bools are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 

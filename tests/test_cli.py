@@ -1,10 +1,13 @@
 import json
+import os
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from evograft.cli import main
-from evograft.persistence import MANIFEST, manifest_hash
+from evograft.mutation import SearchSpace
+from evograft.persistence import MANIFEST, load, manifest_hash
 
 
 def write_config(tmp_path, **overrides):
@@ -56,12 +59,18 @@ def test_run_requires_init(tmp_path):
 def test_full_run_emits_reports_and_checkpoints(tmp_path, capsys):
     config, out = write_config(tmp_path)
     assert main(["init", "--config", str(config)]) == 0
+    capsys.readouterr()
     assert main(["run", "--config", str(config)]) == 0
-    assert (out / "latest" / MANIFEST).exists()
-    assert (out / "checkpoints" / "000_ta" / MANIFEST).exists()
-    assert (out / "reports" / "children.jsonl").exists()
-    assert (out / "reports" / "graph.dot").exists()
-    assert (out / "reports" / "provenance.json").exists()
+    summary = json.loads(capsys.readouterr().out)
+    # checkpoints, child rows and the summary line; graph, provenance and
+    # params views come from `evograft report`
+    assert sorted(os.listdir(out)) == ["checkpoints", "latest", "reports"]
+    assert os.listdir(out / "checkpoints") == ["000_ta"]
+    assert os.listdir(out / "reports") == ["children.jsonl"]
+    assert manifest_hash(out / "checkpoints" / "000_ta") == manifest_hash(out / "latest")
+    assert main(["eval", "ta", "--checkpoint", str(out), "--split", "test"]) == 0
+    accuracy = json.loads(capsys.readouterr().out)["accuracy"]
+    assert summary == {"replicas": 1, "test_accuracy": {"ta": [accuracy]}}
     rows = [json.loads(l) for l in (out / "reports" / "children.jsonl").read_text().splitlines()]
     assert len(rows) == 2  # one generation of two children
     for row in rows:
@@ -133,6 +142,58 @@ def test_config_errors_carry_field_paths(tmp_path, capsys):
     assert "evolution.children_per_generation" in err
 
 
+EVOLUTION = {"num_generations": 1, "children_per_generation": 2, "train_cycles": 2,
+             "samples_cap": 48, "batch_size": 16, "allow_insert": True}
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("evolution.batch_size", {"evolution": {**EVOLUTION, "batch_size": 0}}),
+    ("evolution.batch_size", {"evolution": {**EVOLUTION, "batch_size": "16"}}),
+    ("evolution.train_cycles", {"evolution": {**EVOLUTION, "train_cycles": 1.5}}),
+    ("evolution.num_generations", {"evolution": {**EVOLUTION, "num_generations": True}}),
+    ("evolution.allow_insert", {"evolution": {**EVOLUTION, "allow_insert": "yes"}}),
+    ("schedule[0].iterations", {"schedule": [{"task": "ta", "iterations": "x"}]}),
+    ("schedule[0].iterations", {"schedule": [{"task": "ta", "iterations": 1.5}]}),
+    ("schedule[0].iterations", {"schedule": [{"task": "ta", "iterations": 0}]}),
+    ("replicas", {"replicas": "two"}),
+    ("replicas", {"replicas": 1.5}),
+    ("replicas", {"replicas": 0}),
+])
+def test_init_rejects_bad_counts(tmp_path, capsys, field, overrides):
+    config, out = write_config(tmp_path, **overrides)
+    assert main(["init", "--config", str(config)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_space_key_drives_init_and_run(tmp_path, capsys):
+    table = json.loads(resources.files("evograft").joinpath("data/search_space.json").read_text())
+    # values outside the shipped space, and mu = 1 so every child steps every field
+    table["mu"] = {"values": [0.95, 1.0], "default": 1.0}
+    table["learning_rate"] = {"values": [0.003, 0.03, 0.3], "default": 0.03}
+    (tmp_path / "space.json").write_text(json.dumps(table))
+    space = SearchSpace(table)
+    config, out = write_config(tmp_path, search_space=str(tmp_path / "space.json"))
+    assert main(["init", "--config", str(config)]) == 0
+    assert load(out / "latest").retained_models["root"].genome == space.default_genome()
+
+    assert main(["run", "--config", str(config)]) == 0
+    rows = [json.loads(l) for l in (out / "reports" / "children.jsonl").read_text().splitlines()]
+    for row in rows:
+        steps = dict(row["mutations"]["hyper"])
+        assert steps["learning_rate"] in (0.003, 0.3)
+        assert all(value in space.values[name] for name, value in steps.items())
+    space.validate_genome(load(out / "latest").retained_models["ta"].genome)
+
+
+@pytest.mark.parametrize("command", ["init", "run"])
+def test_search_space_flag_is_gone(tmp_path, command):
+    config, out = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--search-space", str(tmp_path / "space.json")])
+    assert exc.value.code == 2
+
+
 def test_workers_is_not_an_evolution_config_field(tmp_path, capsys):
     # --workers is a run-time flag; the experiment config cannot carry it.
     config, out = write_config(tmp_path, evolution={
@@ -157,13 +218,32 @@ def test_run_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
 def test_replicated_run_writes_sibling_outputs_and_variance(tmp_path, capsys):
     config, out = write_config(tmp_path, replicas=2)
     assert main(["init", "--config", str(config)]) == 0
-    assert main(["run", "--config", str(config)]) == 0
+    init_hash = manifest_hash(out / "latest")
     capsys.readouterr()
-    assert (out / "replica_0" / "latest" / MANIFEST).exists()
-    assert (out / "replica_1" / "latest" / MANIFEST).exists()
+    assert main(["run", "--config", str(config)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert sorted(os.listdir(out)) == ["latest", "replica_0", "replica_1", "variance.json"]
+    assert manifest_hash(out / "latest") == init_hash  # replicas load it, never write it
+    seeds = {load(out / f"replica_{r}" / "latest").rng_seed for r in (0, 1)}
+    assert len(seeds | {load(out / "latest").rng_seed}) == 3
+    for r in (0, 1):
+        assert os.listdir(out / f"replica_{r}" / "reports") == ["children.jsonl"]
+
     variance = json.loads((out / "variance.json").read_text())
-    assert "ta" in variance["per_task"]
     assert variance["per_task"]["ta"]["replicas"] == 2
+    assert variance["per_task"]["ta"]["std"] is not None
+    assert summary["variance"] == variance
+    assert len(summary["test_accuracy"]["ta"]) == 2
     assert main(["report", "variance", "--checkpoint", str(out)]) == 0
-    recomputed = json.loads(capsys.readouterr().out)
-    assert recomputed["per_task"]["ta"]["mean"] == variance["per_task"]["ta"]["mean"]
+    assert json.loads(capsys.readouterr().out) == variance
+
+
+@pytest.mark.parametrize("flag", ["0", "-1"])
+def test_run_rejects_fewer_than_one_replica(tmp_path, capsys, flag):
+    config, out = write_config(tmp_path)
+    assert main(["init", "--config", str(config)]) == 0
+    before = manifest_hash(out / "latest")
+    assert main(["run", "--config", str(config), "--replicas", flag]) == 2
+    assert "--replicas" in capsys.readouterr().err
+    assert os.listdir(out) == ["latest"]
+    assert manifest_hash(out / "latest") == before

@@ -6,8 +6,8 @@ import pytest
 
 import evograft as eg
 from evograft.errors import ConfigError, InvariantError
-from evograft.evolution import (EvolutionConfig, draw_parent, run_schedule, run_task_iteration,
-                                sample_parent, score_model, train_child)
+from evograft.evolution import (EvolutionConfig, draw_parent, run_task_iteration, sample_parent,
+                                score_model, train_child)
 from evograft.mutation import Genome, MutationSet, SearchSpace, apply_mutations
 from evograft.store import ModelRecord
 from evograft.system import build_root_state, register_task
@@ -243,8 +243,8 @@ class TestScoring:
         root = state.retained_models["root"]
         delta = MutationSet((), frozenset(), (), new_head=True)
         child = apply_mutations(root, delta, state.store, np.random.default_rng(3), task)
-        from evograft.evolution import _child_path_layers, score_path
-        path = _child_path_layers(child, state.store)
+        from evograft.evolution import materialize_path, score_path
+        path = materialize_path(child.entries, state.store)
         acc = score_path(path, task, "test")
         n = len(task.splits["test"])
         sigma = math.sqrt((1 / 6) * (5 / 6) / n)
@@ -280,27 +280,6 @@ class TestScoring:
 
 
 class TestSchedule:
-    def test_single_replica_runs_in_place(self):
-        state = tiny_system(tasks=("ta", "tb"))
-        schedule = [("ta", tiny_cfg(num_generations=1)), ("tb", tiny_cfg(num_generations=1))]
-        states, accs, variance = run_schedule(state, schedule, replicas=1)
-        assert states[0] is state
-        assert set(accs) == {"ta", "tb"}
-        assert all(len(v) == 1 for v in accs.values())
-        # one replica: zero-width deviations, std omitted
-        assert variance["per_task"]["ta"]["std"] is None
-
-    def test_replicas_are_independent_and_seeded_differently(self):
-        base = tiny_system(tasks=("ta",), seed=33)
-        schedule = [("ta", tiny_cfg(num_generations=1))]
-        states, accs, variance = run_schedule(base, schedule, replicas=2)
-        assert len(states) == 2
-        assert states[0].rng_seed != states[1].rng_seed
-        assert len(accs["ta"]) == 2
-        assert variance["per_task"]["ta"]["std"] is not None
-        # base state untouched by the replicated run
-        assert "ta" not in base.retained_models
-
     def test_cycle_sample_count_follows_cap_rule(self):
         from evograft.evolution import cycle_sample_count
         assert cycle_sample_count(1000, 400) == 400

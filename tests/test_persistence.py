@@ -241,6 +241,14 @@ class TestResumeEquivalence:
         straight, resumed = interrupt_and_resume(tmp_path, add_workers, workers=2)
         assert straight == resumed
 
+    def test_barrier_checkpoint_with_legacy_replica_seed_field_resumes(self, tmp_path):
+        # Older checkpoints persisted an unset per-replica seed inside the pending config.
+        def add_replica_seed(manifest):
+            manifest["pending"]["econfig"]["replica_seed"] = None
+
+        straight, resumed = interrupt_and_resume(tmp_path, add_replica_seed)
+        assert straight == resumed
+
     def test_identical_reruns_share_manifest_hash(self, tmp_path):
         for name in ("x", "y"):
             state = built_state(seed=99)
