@@ -22,7 +22,7 @@ from .nn.config import ArchConfig
 from .store import SystemState, garbage_collect, provenance_report
 from .system import ROOT_TASK, build_root_state, register_task
 from .tasks import AccessPolicy, TaskSpec, build_task
-from .util import canonical_json, derive_seed, is_count
+from .util import canonical_json, derive_seed, is_count, keep_heap
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -95,7 +95,13 @@ def _build_task_spec(entry: dict) -> TaskSpec:
 
 def _search_space(cfg: dict) -> SearchSpace:
     path = cfg.get("search_space")
-    return SearchSpace.from_file(path) if path else SearchSpace.default()
+    if not path:
+        return SearchSpace.default()
+    _expect(isinstance(path, str), "search_space", "must be a file path")
+    try:
+        return SearchSpace.from_file(path)
+    except ConfigError as exc:
+        raise ConfigError(f"search_space: {exc}") from exc
 
 
 def _latest_dir(output_dir: str) -> Path:
@@ -274,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -70,18 +70,24 @@ class SearchSpace:
     """Sorted value lists per hyperparameter; the shipped default is the standard space."""
 
     def __init__(self, table: dict[str, dict]):
+        if not isinstance(table, dict):
+            raise ConfigError("search space must be an object keyed by field")
         self.values: dict[str, tuple] = {}
         self.defaults: dict[str, object] = {}
         for name in GENOME_FIELDS:
             if name not in table:
                 raise ConfigError(f"search space missing field {name!r}")
-            vals = list(table[name]["values"])
+            entry = table[name]
+            if not (isinstance(entry, dict) and isinstance(entry.get("values"), (list, tuple))
+                    and "default" in entry):
+                raise ConfigError(f"search space field {name!r} needs a values list and a default")
+            vals = list(entry["values"])
             if sorted(vals) != vals:
                 raise ConfigError(f"search space values for {name!r} must be sorted")
-            if table[name]["default"] not in vals:
+            if entry["default"] not in vals:
                 raise ConfigError(f"default for {name!r} not in its value list")
             self.values[name] = tuple(vals)
-            self.defaults[name] = table[name]["default"]
+            self.defaults[name] = entry["default"]
 
     @classmethod
     def default(cls) -> "SearchSpace":
@@ -90,8 +96,14 @@ class SearchSpace:
 
     @classmethod
     def from_file(cls, path) -> "SearchSpace":
-        with open(path) as fh:
-            return cls(json.load(fh))
+        try:
+            with open(path) as fh:
+                table = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read search space file {path}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"search space file {path} is not valid JSON ({exc})") from exc
+        return cls(table)
 
     def default_genome(self) -> Genome:
         return Genome(**self.defaults)

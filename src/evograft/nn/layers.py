@@ -103,14 +103,18 @@ def _layernorm_fwd(x, gamma, beta):
     return xhat * gamma + beta, (xhat, inv)
 
 
-def _layernorm_bwd(dy, gamma, cache):
+def _layernorm_bwd(dy, gamma, cache, want_params=True, want_dx=True):
+    """Returns (dx, dgamma, dbeta); the parts not wanted are None."""
     xhat, inv = cache
-    dxhat = dy * gamma
-    dgamma = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    dbeta = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    m1 = dxhat.mean(-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * inv
+    dx = dgamma = dbeta = None
+    if want_params:
+        dgamma = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+        dbeta = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    if want_dx:
+        dxhat = dy * gamma
+        m1 = dxhat.mean(-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(-1, keepdims=True)
+        dx = (dxhat - m1 - xhat * m2) * inv
     return dx, dgamma, dbeta
 
 
@@ -132,12 +136,15 @@ def _dense_fwd(x, w, b):
     return y
 
 
-def _dense_bwd(x, w, dy):
-    x2 = x.reshape(-1, x.shape[-1])
+def _dense_bwd(x, w, dy, want_params=True, want_dx=True):
+    """Returns (dw, db, dx); the parts not wanted are None."""
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = x2.T @ dy2
-    db = dy2.sum(0)
-    dx = (dy2 @ w.T).reshape(x.shape)
+    dw = db = dx = None
+    if want_params:
+        dw = x.reshape(-1, x.shape[-1]).T @ dy2
+        db = dy2.sum(0)
+    if want_dx:
+        dx = (dy2 @ w.T).reshape(x.shape)
     return dw, db, dx
 
 
@@ -209,7 +216,7 @@ def backward(cfg: LayerConfig, params: dict, cache, dy: np.ndarray,
         if not want_param_grads:
             return None, None
         (patches,) = cache
-        dw, db, _ = _dense_bwd(patches, params["w"], dy)
+        dw, db, _ = _dense_bwd(patches, params["w"], dy, want_dx=False)
         return {"w": dw, "b": db}, None
 
     if k == LayerKind.CLASS_TOKEN:
@@ -275,23 +282,26 @@ def _transformer_fwd(cfg: LayerConfig, params: dict, x: np.ndarray):
 
 
 def _transformer_bwd(cfg: LayerConfig, params: dict, cache, dy, want_param_grads, want_dx):
+    """Computes only what is asked for: a frozen layer skips every parameter
+    gradient, the lowest taped layer skips its input gradient."""
+    if not (want_param_grads or want_dx):
+        return None, None
     ln1_cache, h, qh, kh, vh, attn, cat, ln2_cache, h2, u, t_gelu, g = cache
     nh = cfg.num_heads
     b, t, d = h.shape
     dh = d // nh
     scale = 1.0 / math.sqrt(dh)
-    dparams: dict[str, np.ndarray] = {}
+    wp = want_param_grads
 
     # y = x1 + f(ln2(x1))
-    dmlp_w2, dmlp_b2, dg = _dense_bwd(g, params["mlp_w2"], dy)
+    dmlp_w2, dmlp_b2, dg = _dense_bwd(g, params["mlp_w2"], dy, wp)
     du = _gelu_bwd(dg, u, t_gelu)
-    dmlp_w1, dmlp_b1, dh2 = _dense_bwd(h2, params["mlp_w1"], du)
-    dx1_ln, dln2_g, dln2_b = _layernorm_bwd(dh2, params["ln2_gamma"], ln2_cache)
+    dmlp_w1, dmlp_b1, dh2 = _dense_bwd(h2, params["mlp_w1"], du, wp)
+    dx1_ln, dln2_g, dln2_b = _layernorm_bwd(dh2, params["ln2_gamma"], ln2_cache, wp)
     dx1 = dy + dx1_ln
 
     # x1 = x + o(attention(ln1(x)))
-    do = dx1
-    dwo, dbo, dcat = _dense_bwd(cat, params["wo"], do)
+    dwo, dbo, dcat = _dense_bwd(cat, params["wo"], dx1, wp)
     dctx = dcat.reshape(b, t, nh, dh).transpose(0, 2, 1, 3)
     dattn = dctx @ vh.transpose(0, 1, 3, 2)
     dvh = attn.transpose(0, 1, 3, 2) @ dctx
@@ -305,22 +315,23 @@ def _transformer_bwd(cfg: LayerConfig, params: dict, cache, dy, want_param_grads
         return np.ascontiguousarray(z.transpose(0, 2, 1, 3)).reshape(b * t, d)
 
     dqkv = np.concatenate([merge(dqh), merge(dkh), merge(dvh)], axis=1)
-    h2d = h.reshape(b * t, d)
-    dw_qkv = h2d.T @ dqkv
-    db_qkv = dqkv.sum(0)
-    dwq, dwk, dwv = dw_qkv[:, :d], dw_qkv[:, d:2 * d], dw_qkv[:, 2 * d:]
-    dbq, dbk, dbv = db_qkv[:d], db_qkv[d:2 * d], db_qkv[2 * d:]
+    # LN1's gamma/beta gradients need dh_total even when dx is not wanted.
     w_qkv = np.concatenate([params["wq"], params["wk"], params["wv"]], axis=1)
     dh_total = (dqkv @ w_qkv.T).reshape(b, t, d)
-    dx_ln, dln1_g, dln1_b = _layernorm_bwd(dh_total, params["ln1_gamma"], ln1_cache)
-
-    if want_param_grads:
-        dparams = {
-            "ln1_gamma": dln1_g, "ln1_beta": dln1_b,
-            "wq": dwq, "bq": dbq, "wk": dwk, "bk": dbk, "wv": dwv, "bv": dbv,
-            "wo": dwo, "bo": dbo,
-            "ln2_gamma": dln2_g, "ln2_beta": dln2_b,
-            "mlp_w1": dmlp_w1, "mlp_b1": dmlp_b1, "mlp_w2": dmlp_w2, "mlp_b2": dmlp_b2,
-        }
+    dx_ln, dln1_g, dln1_b = _layernorm_bwd(dh_total, params["ln1_gamma"], ln1_cache, wp, want_dx)
     dx = dx1 + dx_ln if want_dx else None
-    return (dparams if want_param_grads else None), dx
+    if not wp:
+        return None, dx
+
+    dw_qkv = h.reshape(b * t, d).T @ dqkv
+    db_qkv = dqkv.sum(0)
+    dparams = {
+        "ln1_gamma": dln1_g, "ln1_beta": dln1_b,
+        "wq": dw_qkv[:, :d], "bq": db_qkv[:d],
+        "wk": dw_qkv[:, d:2 * d], "bk": db_qkv[d:2 * d],
+        "wv": dw_qkv[:, 2 * d:], "bv": db_qkv[2 * d:],
+        "wo": dwo, "bo": dbo,
+        "ln2_gamma": dln2_g, "ln2_beta": dln2_b,
+        "mlp_w1": dmlp_w1, "mlp_b1": dmlp_b1, "mlp_w2": dmlp_w2, "mlp_b2": dmlp_b2,
+    }
+    return dparams, dx

@@ -129,11 +129,14 @@ def model_allowed(consumer, path_ids, store, registry) -> bool:
 # synthetic glyph tasks
 
 def _binary_texture(patch: int, rng: np.random.Generator, existing: list[np.ndarray]):
-    """High-contrast binary tile, resampled until well separated from all others."""
+    """High-contrast binary tile, resampled until it differs from every earlier
+    tile in at least max(4, patch*patch // 3) pixels."""
+    others = np.stack(existing) if existing else np.empty((0, patch, patch))
+    min_diff = max(4, patch * patch // 3)
     while True:
         bits = rng.integers(0, 2, size=(patch, patch)).astype(np.float64)
         tex = 0.15 + 0.85 * bits
-        if all(np.count_nonzero(tex != other) >= max(4, tex.size // 3) for other in existing):
+        if (np.count_nonzero(tex != others, axis=(1, 2)) >= min_diff).all():
             return tex
 
 

@@ -35,6 +35,10 @@ def write_config(tmp_path, **overrides):
     return path, Path(cfg["output_dir"])
 
 
+def _shipped_table():
+    return json.loads(resources.files("evograft").joinpath("data/search_space.json").read_text())
+
+
 def test_init_creates_stripped_root_checkpoint(tmp_path, capsys):
     config, out = write_config(tmp_path)
     assert main(["init", "--config", str(config)]) == 0
@@ -167,7 +171,7 @@ def test_init_rejects_bad_counts(tmp_path, capsys, field, overrides):
 
 
 def test_search_space_key_drives_init_and_run(tmp_path, capsys):
-    table = json.loads(resources.files("evograft").joinpath("data/search_space.json").read_text())
+    table = _shipped_table()
     # values outside the shipped space, and mu = 1 so every child steps every field
     table["mu"] = {"values": [0.95, 1.0], "default": 1.0}
     table["learning_rate"] = {"values": [0.003, 0.03, 0.3], "default": 0.03}
@@ -184,6 +188,35 @@ def test_search_space_key_drives_init_and_run(tmp_path, capsys):
         assert steps["learning_rate"] in (0.003, 0.3)
         assert all(value in space.values[name] for name, value in steps.items())
     space.validate_genome(load(out / "latest").retained_models["ta"].genome)
+
+
+@pytest.mark.parametrize("command", ["init", "run"])
+@pytest.mark.parametrize("case", ["missing file", "not json", "no values", "no default", "not an object"])
+def test_bad_search_space_is_a_config_error(tmp_path, capsys, command, case):
+    space_file = tmp_path / "space.json"
+    table = _shipped_table()
+    if case == "no values":
+        del table["momentum"]["values"]
+    elif case == "no default":
+        del table["momentum"]["default"]
+    elif case == "not an object":
+        table = [table]
+    if case == "not json":
+        space_file.write_text("{")
+    elif case != "missing file":
+        space_file.write_text(json.dumps(table))
+    if command == "run":
+        config, out = write_config(tmp_path)
+        assert main(["init", "--config", str(config)]) == 0
+        before = manifest_hash(out / "latest")
+    config, out = write_config(tmp_path, search_space=str(space_file))
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: search_space: ")
+    if command == "init":
+        assert not out.exists()
+    else:
+        assert os.listdir(out) == ["latest"] and manifest_hash(out / "latest") == before
 
 
 @pytest.mark.parametrize("command", ["init", "run"])

@@ -282,3 +282,31 @@ def test_softmax_xent_gradient_matches_finite_differences():
         idx = (int(rng.integers(0, 5)), int(rng.integers(0, 7)))
         fd = central_diff(lambda: softmax_xent(logits.copy(), labels)[0], logits, idx)
         assert abs(dlogits[idx] - fd) / max(abs(fd), abs(dlogits[idx]), 1e-8) < 1e-4
+
+
+@pytest.mark.parametrize("batch", [16, 3])
+@pytest.mark.parametrize("want_param_grads, want_dx",
+                         [(True, True), (True, False), (False, True), (False, False)])
+def test_transformer_backward_skips_only_unwanted_work(batch, want_param_grads, want_dx):
+    """Each flag combination returns exactly the bytes of the full computation
+    for what it asks, and None for what it does not."""
+    cfg = ArchConfig().layer_config(LayerKind.TRANSFORMER)
+    rng = np.random.default_rng(batch)
+    params = {k: (v + rng.normal(0, 0.05, v.shape)).astype(np.float32)
+              for k, v in L.init_params(cfg, rng).items()}
+    x = rng.normal(0, 1, (batch, 65, cfg.hidden_dim)).astype(np.float32)
+    y, cache = L.forward(cfg, params, x)
+    dy = rng.normal(0, 1, y.shape).astype(np.float32)
+    full_params, full_dx = L.backward(cfg, params, cache, dy, want_param_grads=True, want_dx=True)
+
+    dparams, dx = L.backward(cfg, params, cache, dy, want_param_grads, want_dx)
+    if want_param_grads:
+        assert list(dparams) == list(L.PARAM_ORDER[LayerKind.TRANSFORMER])
+        for name, grad in dparams.items():
+            assert grad.dtype == np.float32 and grad.tobytes() == full_params[name].tobytes(), name
+    else:
+        assert dparams is None
+    if want_dx:
+        assert dx.dtype == np.float32 and dx.tobytes() == full_dx.tobytes()
+    else:
+        assert dx is None

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from evograft import tasks
 from evograft.errors import ConfigError, DataError, InvariantError
 from evograft.nn.config import LayerKind
 from evograft.tasks import (SPLITS, AccessMode, AccessPolicy, Dataset, TaskSpec, _class_assets,
@@ -44,6 +45,24 @@ def reference_glyph_splits(num_classes, samples_per_class, noise, seed, resoluti
                 labels.append(c)
         splits[split] = (np.stack(images), np.asarray(labels, dtype=np.uint16))
     return splits
+
+
+def pairwise_texture(patch, rng, existing):
+    """The texture rule written pair by pair: the vectorized check must draw the same tiles."""
+    while True:
+        tex = 0.15 + 0.85 * rng.integers(0, 2, size=(patch, patch)).astype(np.float64)
+        if all(np.count_nonzero(tex != other) >= max(4, tex.size // 3) for other in existing):
+            return tex
+
+
+@pytest.mark.parametrize("classes", [3, 6, 25, 60])
+@pytest.mark.parametrize("seed,patch", [(11, 4), (12, 4), (13, 8)])
+def test_texture_separation_check_draws_the_pairwise_textures(monkeypatch, classes, seed, patch):
+    textures, bands = _class_assets(classes, 8, patch, make_rng(seed))
+    monkeypatch.setattr(tasks, "_binary_texture", pairwise_texture)
+    want_textures, want_bands = _class_assets(classes, 8, patch, make_rng(seed))
+    assert [t.tobytes() for t in textures] == [t.tobytes() for t in want_textures]
+    assert bands == want_bands
 
 
 @pytest.mark.parametrize("classes,spc,noise,seed,resolution,patch", [
