@@ -6,8 +6,8 @@ children each. Parents and mutations for a whole generation are sampled
 up front in child order (so results are independent of training parallelism),
 children train privately against shared frozen state, and survivors join the
 active population at the generation barrier. At the end exactly the best
-scoring model for the task is retained; everything else becomes archive
-metadata and unreachable layers are collected.
+scoring model for the task is retained and unreachable layers are collected;
+the `children.jsonl` rows are the only record of the other children.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .nn.config import LayerKind, PreprocConfig
 from .nn.network import PathLayer, backward, forward
 from .nn.optim import sgd_step
 from .nn.preprocess import preprocess
-from .store import (ArchiveEntry, LayerRecord, LayerStore, ModelRecord, PendingIteration,
-                    SystemState, garbage_collect)
+from .store import (LayerRecord, LayerStore, ModelRecord, PendingIteration, SystemState,
+                    garbage_collect)
 from .tasks import TaskSpec, acl_allows, model_allowed
 from .util import derive_seed, is_count, make_rng
 
@@ -171,7 +171,6 @@ class TrainResult:
 
     cycle_scores: list[float]
     best_score: float | None = None
-    best_cycle: int | None = None
     snapshot: dict[int, tuple[dict, dict]] | None = None  # pos -> (params, opt_state)
     steps_at_best: int = 0
     diverged: bool = False
@@ -210,7 +209,7 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
     # Divergence is handled explicitly (non-finite loss/grads reject the child),
     # so numpy's transient overflow warnings are just noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for cycle in range(cfg.train_cycles):
+        for _ in range(cfg.train_cycles):
             perm = rng.permutation(len(train_ds))[:n_cycle]
             for start in range(0, n_cycle, cfg.batch_size):
                 batch = preprocess(train_ds.batch(perm[start:start + cfg.batch_size]),
@@ -237,7 +236,6 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
             best = result.best_score if result.best_score is not None else -math.inf
             if score >= max(best, threshold):
                 result.best_score = score
-                result.best_cycle = cycle
                 result.steps_at_best = step
                 result.snapshot = {
                     pos: ({n: wl.params[n].copy() for n in wl.params},
@@ -377,11 +375,6 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
         if previous is not None and previous.score is not None and best.score is not None \
                 and best.score < previous.score:
             raise InvariantError("retention would decrease the task's score")
-        for m in active.members:
-            if m.model_id != best.model_id:
-                state.archive.append(ArchiveEntry(model_id=m.model_id, task=m.task,
-                                                  parent=m.parent, score=m.score,
-                                                  path=m.path, created_seq=m.created_seq))
         state.retained_models[task_name] = best
         report.retained_model_id = best.model_id
         report.retained_score = best.score

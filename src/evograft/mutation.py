@@ -207,7 +207,6 @@ class ChildModel:
     genome: Genome
     entries: list  # str (frozen LayerId) | WorkLayer (trainable)
     parent_id: str
-    mutations: MutationSet
 
     def work_layers(self) -> list[tuple[int, WorkLayer]]:
         return [(i, e) for i, e in enumerate(self.entries) if isinstance(e, WorkLayer)]
@@ -256,4 +255,4 @@ def apply_mutations(parent: ModelRecord, delta: MutationSet, store: LayerStore,
             entries.append(lid)
 
     return ChildModel(task=child_task.name, genome=genome, entries=entries,
-                      parent_id=parent.model_id, mutations=delta)
+                      parent_id=parent.model_id)

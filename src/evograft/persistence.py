@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvariantError
 from .mutation import Genome
 from .nn.config import ArchConfig, LayerConfig, LayerKind
 from .nn.layers import PARAM_ORDER
-from .store import (ArchiveEntry, LayerRecord, LayerStore, ModelRecord, PendingIteration,
-                    SystemState)
+from .store import LayerRecord, LayerStore, ModelRecord, PendingIteration, SystemState
 from .tasks import AccessPolicy, TaskSpec, build_task
 from .util import canonical_json, sha256_hex
 
@@ -106,11 +105,6 @@ def save(state: SystemState, directory) -> dict:
         },
         "layers": layers,
         "retained_models": {t: _model_dict(m) for t, m in sorted(state.retained_models.items())},
-        "archive": [
-            {"model_id": a.model_id, "task": a.task, "parent": a.parent, "score": a.score,
-             "path": list(a.path), "created_seq": a.created_seq}
-            for a in state.archive
-        ],
         "pending": None if state.pending is None else {
             "task": state.pending.task,
             "generation_done": state.pending.generation_done,
@@ -195,29 +189,27 @@ def load(directory) -> SystemState:
             raise DataError(f"layer {lid} content hash changed on disk (got {record.id})")
         store.insert(record)
 
-    pending = None
-    if manifest.get("pending"):
-        p = manifest["pending"]
-        pending = PendingIteration(task=p["task"], generation_done=int(p["generation_done"]),
-                                   econfig=dict(p["econfig"]),
-                                   active_models=[_model_from_dict(m) for m in p["active_models"]])
-
-    state = SystemState(
-        store=store,
-        arch=ArchConfig.from_dict(manifest["arch"]),
-        tasks=tasks,
-        retained_models={t: _model_from_dict(m) for t, m in manifest["retained_models"].items()},
-        archive=[ArchiveEntry(model_id=a["model_id"], task=a["task"], parent=a["parent"],
-                              score=a["score"], path=tuple(a["path"]),
-                              created_seq=int(a["created_seq"]))
-                 for a in manifest.get("archive", [])],
-        rng_seed=int(manifest["rng_seed"]),
-        generation_counter=int(manifest["generation_counter"]),
-        model_seq=int(manifest["model_seq"]),
-        history_offset=int(manifest.get("history_offset", 0)),
-        pending=pending,
-    )
-    state.validate_references()
+    try:
+        pending = None
+        if manifest.get("pending"):
+            p = manifest["pending"]
+            pending = PendingIteration(task=p["task"], generation_done=int(p["generation_done"]),
+                                       econfig=dict(p["econfig"]),
+                                       active_models=[_model_from_dict(m) for m in p["active_models"]])
+        state = SystemState(
+            store=store,
+            arch=ArchConfig.from_dict(manifest["arch"]),
+            tasks=tasks,
+            retained_models={t: _model_from_dict(m) for t, m in manifest["retained_models"].items()},
+            rng_seed=int(manifest["rng_seed"]),
+            generation_counter=int(manifest["generation_counter"]),
+            model_seq=int(manifest["model_seq"]),
+            history_offset=int(manifest.get("history_offset", 0)),
+            pending=pending,
+        )
+        state.validate_references()
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, InvariantError) as exc:
+        raise DataError(f"malformed manifest: {exc!r}") from exc
     return state
 
 

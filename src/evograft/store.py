@@ -3,7 +3,7 @@
 A layer is frozen the moment it is inserted: its id is a hash of parameters,
 optimizer state and lineage metadata, the arrays are read-only, and the store
 exposes no write path. Models are paths of layer ids; only the best model per
-task is retained, everything else survives as metadata in the archive.
+task is retained, and layers that no retained model reaches are collected.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class LayerRecord:
     def last_trained_by(self) -> str:
         return self.trained_on[-1][0] if self.trained_on else self.creator_task
 
-    def total_steps(self) -> int:
-        return int(sum(s for _, s in self.trained_on))
-
     def bit_equal(self, other: "LayerRecord") -> bool:
         if (self.kind, self.cloned_from, self.trained_on, self.creator_task) != \
            (other.kind, other.cloned_from, other.trained_on, other.creator_task):
@@ -135,18 +132,6 @@ class ModelRecord:
 
     def selections_for(self, task: str) -> int:
         return self.selection_counts.get(task, 0)
-
-
-@dataclass(frozen=True)
-class ArchiveEntry:
-    """Metadata-only trace of a model whose parameters were not retained."""
-
-    model_id: str
-    task: str
-    parent: str | None
-    score: float | None
-    path: tuple[str, ...]
-    created_seq: int
 
 
 class LayerStore:
@@ -230,7 +215,6 @@ class SystemState:
     arch: ArchConfig
     tasks: dict[str, "TaskSpec"]
     retained_models: dict[str, ModelRecord]
-    archive: list[ArchiveEntry]
     rng_seed: int
     generation_counter: int = 0
     model_seq: int = 0

@@ -19,8 +19,7 @@ def build_root_state(arch: ArchConfig, seed: int,
     """A fresh system seeded with a randomly initialized root model stripped of
     transformer layers: patch embedding, class token, position embedding, head."""
     space = space or SearchSpace.default()
-    state = SystemState(store=LayerStore(), arch=arch, tasks={}, retained_models={},
-                        archive=[], rng_seed=seed)
+    state = SystemState(store=LayerStore(), arch=arch, tasks={}, retained_models={}, rng_seed=seed)
     rng = make_rng(derive_seed(seed, "root-init"))
     path = []
     for kind in (LayerKind.PATCH_EMBEDDING, LayerKind.CLASS_TOKEN,

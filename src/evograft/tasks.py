@@ -128,16 +128,44 @@ def model_allowed(consumer, path_ids, store, registry) -> bool:
 # ---------------------------------------------------------------------------
 # synthetic glyph tasks
 
+TEXTURE_DRAWS = 10_000  # rejections in a row before _binary_texture asks whether any tile fits
+
+
+def _texture_fits(others: np.ndarray, min_diff: int) -> bool:
+    """Whether some binary tile differs from every tile in `others` in at least
+    min_diff pixels, found by checking all 2**(patch*patch) tiles."""
+    n = others[0].size
+    tiles = np.arange(2 ** n)
+    popcount = ((tiles[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    fits = np.ones(2 ** n, dtype=bool)
+    for other in others:
+        code = int(((other.reshape(-1) > 0.5) << np.arange(n)).sum())
+        fits &= popcount[tiles ^ code] >= min_diff
+    return bool(fits.any())
+
+
 def _binary_texture(patch: int, rng: np.random.Generator, existing: list[np.ndarray]):
     """High-contrast binary tile, resampled until it differs from every earlier
-    tile in at least max(4, patch*patch // 3) pixels."""
+    tile in at least max(4, patch*patch // 3) pixels.
+
+    After TEXTURE_DRAWS rejections in a row, a tile of at most 16 pixels checks
+    every possible tile and raises ConfigError when none fits (when one does,
+    drawing goes on as before); a larger tile has too many to check and raises.
+    """
     others = np.stack(existing) if existing else np.empty((0, patch, patch))
     min_diff = max(4, patch * patch // 3)
+    rejected = 0
     while True:
         bits = rng.integers(0, 2, size=(patch, patch)).astype(np.float64)
         tex = 0.15 + 0.85 * bits
         if (np.count_nonzero(tex != others, axis=(1, 2)) >= min_diff).all():
             return tex
+        rejected += 1
+        if rejected == TEXTURE_DRAWS and (patch * patch > 16 or not _texture_fits(others, min_diff)):
+            raise ConfigError(
+                f"found no {patch}x{patch} texture for class {len(existing)} that differs from "
+                f"every earlier class in >= {min_diff} pixels ({TEXTURE_DRAWS} draws rejected); "
+                f"use fewer classes or a larger patch_size")
 
 
 def _class_assets(num_classes: int, grid: int, patch: int, rng: np.random.Generator):
@@ -190,8 +218,8 @@ def make_synthetic_glyph_task(name: str, num_classes: int, samples_per_class: in
     """
     if num_classes < 2 or samples_per_class < 10:
         raise ConfigError("need num_classes >= 2 and samples_per_class >= 10")
-    if resolution % patch_size != 0 or resolution // patch_size < 4:
-        raise ConfigError("resolution must be a multiple of patch_size with a grid of >= 4 cells")
+    if resolution % patch_size != 0 or resolution // patch_size < 6:
+        raise ConfigError("resolution must be a multiple of patch_size with a grid of >= 6 cells")
     grid = resolution // patch_size
     rng = make_rng(seed)
     textures, bands = _class_assets(num_classes, grid, patch_size, rng)

@@ -44,7 +44,7 @@ def three_task_state(arch):
         "t2": model_of("t2", stem + [t1_layer.id, t2_head.id], 2),
     }
     return SystemState(store=store, arch=arch, tasks={}, retained_models=retained,
-                       archive=[], rng_seed=0, generation_counter=7)
+                       rng_seed=0, generation_counter=7)
 
 
 class TestParamReport:
@@ -55,7 +55,7 @@ class TestParamReport:
             store.insert(r)
         state = SystemState(store=store, arch=arch, tasks={},
                             retained_models={"solo": model_of("solo", [r.id for r in records], 0)},
-                            archive=[], rng_seed=0)
+                            rng_seed=0)
         report = param_report(state)
         entry = report.per_task["solo"]
         assert entry.activated_fraction == 1.0
@@ -122,7 +122,7 @@ class TestGraphExport:
         state = SystemState(store=store, arch=arch, tasks={},
                             retained_models={"root": model_of("root", [r.id for r in records], 0,
                                                               score=None)},
-                            archive=[], rng_seed=0)
+                            rng_seed=0)
         doc = graph_document(state)
         assert len(doc["edges"]) == len(records)  # input node plus the layer chain
         chain = [doc["edges"][0]["from"]] + [e["to"] for e in doc["edges"]]

@@ -72,6 +72,7 @@ def test_full_run_emits_reports_and_checkpoints(tmp_path, capsys):
     assert os.listdir(out / "checkpoints") == ["000_ta"]
     assert os.listdir(out / "reports") == ["children.jsonl"]
     assert manifest_hash(out / "checkpoints" / "000_ta") == manifest_hash(out / "latest")
+    assert "archive" not in json.loads((out / "latest" / MANIFEST).read_text())
     assert main(["eval", "ta", "--checkpoint", str(out), "--split", "test"]) == 0
     accuracy = json.loads(capsys.readouterr().out)["accuracy"]
     assert summary == {"replicas": 1, "test_accuracy": {"ta": [accuracy]}}

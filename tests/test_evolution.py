@@ -196,7 +196,7 @@ class TestIteration:
         state = tiny_system()
         cfg = tiny_cfg(num_generations=2, children_per_generation=3)
         run_task_iteration(state, "ta", cfg)
-        # Counts live on the model records; archived records carry theirs away,
+        # Counts live on the model records; dropped records carry theirs away,
         # so the surviving total is bounded by one increment per child sampled.
         total = sum(m.selections_for("ta") for m in state.retained_models.values())
         assert total <= 6

@@ -50,8 +50,9 @@ class TestRoundTrip:
         save(state, tmp_path / "ck")
         loaded = load(tmp_path / "ck")
         assert param_report(loaded).to_dict() == param_report(state).to_dict()
-        assert len(loaded.archive) == len(state.archive)
-        assert [a.model_id for a in loaded.archive] == [a.model_id for a in state.archive]
+        assert {t: m.model_id for t, m in loaded.retained_models.items()} == \
+               {t: m.model_id for t, m in state.retained_models.items()}
+        assert loaded.history_offset == state.history_offset == 2
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         state = built_state()
@@ -127,11 +128,19 @@ class TestFailureModes:
     def test_unknown_manifest_keys_ignored(self, tmp_path):
         state = built_state(evolved=False)
         save(state, tmp_path / "ck")
-        manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
+        saved = (tmp_path / "ck" / MANIFEST).read_bytes()
+        manifest = json.loads(saved)
         manifest["future_extension"] = {"x": 1}
+        # Older checkpoints listed every child that was not retained under "archive".
+        root = manifest["retained_models"]["root"]
+        manifest["archive"] = [{"model_id": "ab" * 32, "task": "ta", "parent": root["model_id"],
+                                "score": 0.5, "path": root["path"], "created_seq": 1}]
         (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
         loaded = load(tmp_path / "ck")
         assert "ta" in loaded.tasks
+        resaved = save(loaded, tmp_path / "again")
+        assert "archive" not in resaved
+        assert (tmp_path / "again" / MANIFEST).read_bytes() == saved
 
     @pytest.mark.parametrize("field,value", [
         ("kind", "dense_blok"), ("trained_on", None), ("trained_on", 5),
@@ -148,6 +157,30 @@ class TestFailureModes:
             entry[field] = value
         (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="malformed manifest entry"):
+            load(tmp_path / "ck")
+        assert main(["eval", "ta", "--checkpoint", str(tmp_path / "ck")]) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("arch"),
+        lambda m: m["arch"].update(hidden_dim="x"),
+        lambda m: m.pop("retained_models"),
+        lambda m: m.update(retained_models=[]),
+        lambda m: m["retained_models"]["root"].pop("genome"),
+        lambda m: m["retained_models"]["root"]["genome"].pop("mu"),
+        lambda m: m.update(rng_seed=None),
+        lambda m: m.update(pending={"generation_done": 0, "econfig": {}, "active_models": []}),
+        lambda m: m["retained_models"]["root"]["path"].__setitem__(0, "0" * 64),
+        lambda m: m["retained_models"].update(ta=dict(m["retained_models"]["root"], task="ta", path=[])),
+    ], ids=["missing-arch", "bad-hidden-dim", "missing-retained-models", "retained-models-list",
+            "missing-genome", "missing-mu", "null-rng-seed", "pending-without-task", "absent-layer",
+            "empty-path"])
+    def test_malformed_manifest_is_a_data_error(self, tmp_path, edit):
+        state = built_state(evolved=False)
+        save(state, tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
+        edit(manifest)
+        (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="malformed manifest"):
             load(tmp_path / "ck")
         assert main(["eval", "ta", "--checkpoint", str(tmp_path / "ck")]) == 3
 

@@ -111,8 +111,7 @@ def build_state(arch, records, retained):
     store = LayerStore()
     for r in records:
         store.insert(r)
-    return SystemState(store=store, arch=arch, tasks={}, retained_models=retained,
-                       archive=[], rng_seed=0)
+    return SystemState(store=store, arch=arch, tasks={}, retained_models=retained, rng_seed=0)
 
 
 class TestGarbageCollect:

@@ -65,6 +65,25 @@ def test_texture_separation_check_draws_the_pairwise_textures(monkeypatch, class
     assert bands == want_bands
 
 
+def test_texture_fit_check_keeps_the_draws(monkeypatch):
+    # Checking every tile after each first rejection must not change which tiles are drawn.
+    textures, _ = _class_assets(25, 8, 4, make_rng(12))
+    monkeypatch.setattr(tasks, "TEXTURE_DRAWS", 1)
+    checked, _ = _class_assets(25, 8, 4, make_rng(12))
+    assert [t.tobytes() for t in checked] == [t.tobytes() for t in textures]
+
+
+@pytest.mark.parametrize("classes,resolution,patch,message", [
+    (3, 16, 4, "grid of >= 6 cells"),
+    (3, 20, 4, "grid of >= 6 cells"),
+    (3, 16, 2, "found no 2x2 texture"),   # at most 2 tiles differ in all 4 pixels
+    (25, 24, 3, "found no 3x3 texture"),  # at most 20 tiles of 9 bits differ pairwise in >= 4
+])
+def test_infeasible_glyph_geometry_is_a_config_error(classes, resolution, patch, message):
+    with pytest.raises(ConfigError, match=message):
+        make_synthetic_glyph_task("g", classes, 10, 0.0, 1, resolution=resolution, patch_size=patch)
+
+
 @pytest.mark.parametrize("classes,spc,noise,seed,resolution,patch", [
     (3, 10, 0.0, 1, 32, 4),    # fewer than 6 classes: no twins
     (5, 12, 0.2, 2, 32, 4),
