@@ -11,8 +11,7 @@ evolution and makes per-task knowledge removable and access-controllable.
 from .accounting import ParamReport, export_graph, param_report, variance_summary
 from .errors import (AclError, ConfigError, CorruptionError, DataError, EvograftError,
                      InvariantError, StructuralError, ValidationError)
-from .evolution import (EvolutionConfig, IterationReport, run_task_iteration, sample_parent,
-                        score_model, train_child)
+from .evolution import EvolutionConfig, run_task_iteration, sample_parent, score_model, train_child
 from .mutation import Genome, MutationSet, SearchSpace, apply_mutations, sample_mutations
 from .nn.config import ArchConfig, Batch, LayerConfig, LayerKind, OptimizerConfig, PreprocConfig
 from .persistence import load, manifest_hash, save

@@ -162,12 +162,12 @@ def cmd_run(args) -> int:
             rep.rng_seed = derive_seed(rep.rng_seed, "replica", r)
             base = out_root / f"replica_{r}"
         for i, task in enumerate(iterations):
-            report = run_task_iteration(rep, task, econfig, space=space, workers=args.workers)
+            rows = run_task_iteration(rep, task, econfig, space=space, workers=args.workers)
             persistence.save(rep, base / "checkpoints" / f"{i:03d}_{task}")
             persistence.save(rep, base / "latest")
             (base / "reports").mkdir(parents=True, exist_ok=True)
             with open(base / "reports" / "children.jsonl", "a") as fh:
-                fh.writelines(canonical_json(row) + "\n" for row in report.rows)
+                fh.writelines(canonical_json(row) + "\n" for row in rows)
         _score_replica(rep, accuracies, samples_per_class)
     summary = {"replicas": replicas, "test_accuracy": accuracies}
     if replicas > 1:

@@ -2,19 +2,20 @@
 intermediate validation, early pruning and best-model retention.
 
 One iteration runs num_generations generations of children_per_generation
-children each. Parents and mutations for a whole generation are sampled
-up front in child order (so results are independent of training parallelism),
-children train privately against shared frozen state, and survivors join the
-active population at the generation barrier. At the end exactly the best
-scoring model for the task is retained and unreachable layers are collected;
-the `children.jsonl` rows are the only record of the other children.
+children each; the pending iteration holds the active population, starting
+from the task's retained model. Parents and mutations for a whole generation
+are sampled up front in child order (so results are independent of training
+parallelism), children train privately against shared frozen state, and
+survivors join the population at the generation barrier. At the end exactly
+the best scoring model for the task is retained and unreachable layers are
+collected; the `children.jsonl` rows are the only record of the other children.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -58,35 +59,9 @@ class EvolutionConfig:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
-@dataclass
-class ActivePopulation:
-    """Members trained on the active task, kept score-sorted for parent visits."""
-
-    task: str
-    members: list[ModelRecord] = field(default_factory=list)
-
-    def sorted_by_score(self) -> list[ModelRecord]:
-        return sorted(self.members,
-                      key=lambda m: (-(m.score if m.score is not None else -math.inf),
-                                     m.created_seq))
-
-    def add(self, model: ModelRecord) -> None:
-        if model.task != self.task:
-            raise InvariantError(f"model for {model.task!r} cannot join {self.task!r}'s population")
-        self.members.append(model)
-
-    def best(self) -> ModelRecord | None:
-        ranked = self.sorted_by_score()
-        return ranked[0] if ranked else None
-
-
-@dataclass
-class IterationReport:
-    task: str
-    rows: list[dict] = field(default_factory=list)
-    retained_model_id: str | None = None
-    retained_score: float | None = None
-    removed_layers: int = 0
+def rank_models(models: Iterable[ModelRecord]) -> list[ModelRecord]:
+    """Score descending (unscored last), earlier-created first among equals."""
+    return sorted(models, key=lambda m: (-m.score if m.score is not None else math.inf, m.created_seq))
 
 
 def materialize_path(entries: Iterable[str | WorkLayer], store: LayerStore) -> list[PathLayer]:
@@ -152,12 +127,12 @@ def draw_parent(active_sorted: list[ModelRecord], others: list[ModelRecord],
     return pool[int(rng.integers(0, len(pool)))]
 
 
-def sample_parent(active: ActivePopulation, others: list[ModelRecord], task: TaskSpec,
+def sample_parent(active: list[ModelRecord], others: list[ModelRecord], task: TaskSpec,
                   rng: np.random.Generator, store: LayerStore,
                   registry: dict[str, TaskSpec]) -> ModelRecord:
     """ACL-filter candidates, draw a parent, and increment its selection count."""
     allowed_others = [m for m in others if model_allowed(task, m.path, store, registry)]
-    active_sorted = active.sorted_by_score()
+    active_sorted = rank_models(active)
     if not active_sorted and not allowed_others:
         raise ConfigError(f"no ACL-permitted parent candidates exist for task {task.name!r}")
     chosen = draw_parent(active_sorted, allowed_others, task.name, rng)
@@ -284,10 +259,11 @@ def finalize_child(state: SystemState, task: TaskSpec, child: ChildModel,
 
 def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
                        space: SearchSpace | None = None,
-                       on_generation=None, workers: int = 1) -> IterationReport:
-    """One full active-task iteration (resumable at generation barriers).
+                       on_generation=None, workers: int = 1) -> list[dict]:
+    """One full active-task iteration (resumable at generation barriers); returns
+    one report row per child.
 
-    `workers` threads train each generation's children; results do not depend on it.
+    `workers` threads train each generation's children (one: this thread); results do not depend on it.
     """
     cfg.validate()
     space = space or SearchSpace.default()
@@ -296,29 +272,17 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
     task = state.tasks[task_name]
     insert_cfg = state.arch.layer_config(LayerKind.TRANSFORMER)
 
-    if state.pending is not None:
-        if state.pending.task != task_name or EvolutionConfig.from_dict(state.pending.econfig) != cfg:
-            raise ConfigError("a different iteration is pending; resume it with its own task and config")
-        active = ActivePopulation(task_name, list(state.pending.active_models))
-        start_gen = state.pending.generation_done
-        # Re-unify object identity after a checkpoint reload: the retained model
-        # and its active-population entry must share selection-count bookkeeping.
-        retained = state.retained_models.get(task_name)
-        if retained is not None:
-            for m in active.members:
-                if m.model_id == retained.model_id:
-                    state.retained_models[task_name] = m
-                    break
-    else:
+    if state.pending is None:
         members = sorted((m for m in state.retained_models.values() if m.task == task_name),
                          key=lambda m: m.created_seq)
-        active = ActivePopulation(task_name, members)
-        start_gen = 0
         state.pending = PendingIteration(task=task_name, generation_done=0,
-                                         econfig=asdict(cfg), active_models=list(members))
+                                         econfig=asdict(cfg), active_models=members)
+    elif state.pending.task != task_name or EvolutionConfig.from_dict(state.pending.econfig) != cfg:
+        raise ConfigError("a different iteration is pending; resume it with its own task and config")
+    active = state.pending.active_models
 
-    report = IterationReport(task=task_name)
-    for gen in range(start_gen, cfg.num_generations):
+    rows = []
+    for gen in range(state.pending.generation_done, cfg.num_generations):
         gen_id = state.generation_counter
         # Canonical candidate order (creation sequence): dict order would differ
         # between a live run and a reloaded checkpoint, breaking resume replay.
@@ -333,25 +297,24 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
             child = apply_mutations(parent, delta, state.store, crng, task,
                                     acl_check=lambda rec: acl_allows(task, rec, state.tasks))
             parent_score = parent.score if parent.task == task_name else None
-            planned.append((ci, parent, delta, child, crng, parent_score))
+            planned.append((delta, child, crng, parent_score))
 
-        def _run(item):
-            ci, parent, delta, child, crng, parent_score = item
-            return ci, train_child(child, task, cfg, crng, state.store, parent_score)
+        def train(p):
+            return train_child(p[1], task, cfg, p[2], state.store, p[3])
 
+        # A pool thread for one worker made the latency of later commands vary per process.
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(pool.map(_run, planned))
+                results = list(pool.map(train, planned))
         else:
-            results = dict(_run(item) for item in planned)
+            results = list(map(train, planned))
 
-        for ci, parent, delta, child, crng, parent_score in planned:
-            result = results[ci]
+        for ci, ((delta, child, _, _), result) in enumerate(zip(planned, results)):
             record = None
             if result.snapshot is not None and not result.diverged:
                 record = finalize_child(state, task, child, result)
-                active.add(record)
-            row = {
+                active.append(record)
+            rows.append({
                 "task": task_name, "generation": gen_id, "child_index": ci,
                 "parent_id": child.parent_id,
                 "model_id": record.model_id if record else None,
@@ -359,26 +322,21 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
                 "cycle_scores": result.cycle_scores,
                 "diverged": result.diverged,
                 "retained": record is not None,
-            }
-            report.rows.append(row)
+            })
             state.history_offset += 1
         state.generation_counter += 1
         state.pending.generation_done = gen + 1
-        state.pending.active_models = list(active.members)
         if on_generation is not None:
             on_generation(state, gen)
 
     # Keep only the best model for the task; earlier-created wins ties.
-    if active.members:
-        best = active.best()
+    if active:
+        best = rank_models(active)[0]
         previous = state.retained_models.get(task_name)
         if previous is not None and previous.score is not None and best.score is not None \
                 and best.score < previous.score:
             raise InvariantError("retention would decrease the task's score")
         state.retained_models[task_name] = best
-        report.retained_model_id = best.model_id
-        report.retained_score = best.score
     state.pending = None
-    report.removed_layers = garbage_collect(state)
-    return report
-
+    garbage_collect(state)
+    return rows

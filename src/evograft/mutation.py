@@ -88,6 +88,13 @@ class SearchSpace:
                 raise ConfigError(f"default for {name!r} not in its value list")
             self.values[name] = tuple(vals)
             self.defaults[name] = entry["default"]
+        base = Genome().optimizer_config(total_steps=1)
+        for name in ("learning_rate", "warmup_ratio", "momentum"):
+            for value in self.values[name]:
+                try:
+                    replace(base, **{name: value}).validate()
+                except (TypeError, ValidationError) as exc:
+                    raise ConfigError(f"search space value {value!r} for {name!r}: {exc}") from exc
 
     @classmethod
     def default(cls) -> "SearchSpace":
@@ -203,7 +210,6 @@ class WorkLayer:
 class ChildModel:
     """An untrained child: frozen layer references interleaved with WorkLayers."""
 
-    task: str
     genome: Genome
     entries: list  # str (frozen LayerId) | WorkLayer (trainable)
     parent_id: str
@@ -254,5 +260,4 @@ def apply_mutations(parent: ModelRecord, delta: MutationSet, store: LayerStore,
         else:
             entries.append(lid)
 
-    return ChildModel(task=child_task.name, genome=genome, entries=entries,
-                      parent_id=parent.model_id)
+    return ChildModel(genome=genome, entries=entries, parent_id=parent.model_id)

@@ -19,21 +19,9 @@ LN_EPS = 1e-6
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
-# Canonical tensor order per kind; serialization, hashing and clipping iterate it.
-PARAM_ORDER: dict[LayerKind, tuple[str, ...]] = {
-    LayerKind.PATCH_EMBEDDING: ("w", "b"),
-    LayerKind.CLASS_TOKEN: ("token",),
-    LayerKind.POSITION_EMBEDDING: ("pos",),
-    LayerKind.TRANSFORMER: (
-        "ln1_gamma", "ln1_beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-        "ln2_gamma", "ln2_beta", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-    ),
-    LayerKind.HEAD: ("w", "b"),
-}
-
-
 def param_shapes(cfg: LayerConfig) -> dict[str, tuple[int, ...]]:
-    """Expected tensor shapes for a layer; the store validates inserts against this."""
+    """Expected tensor shapes for a layer, in the canonical tensor order that
+    hashing and serialization iterate; the store validates inserts against this."""
     cfg.validate()
     d = cfg.hidden_dim
     k = cfg.kind

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError, InvariantError
 from .mutation import Genome
 from .nn.config import ArchConfig, LayerConfig, LayerKind
-from .nn.layers import PARAM_ORDER
+from .nn.layers import param_shapes
 from .store import LayerRecord, LayerStore, ModelRecord, PendingIteration, SystemState
 from .tasks import AccessPolicy, TaskSpec, build_task
 from .util import canonical_json, sha256_hex
@@ -31,7 +31,7 @@ MANIFEST = "manifest.json"
 
 
 def _blob_bytes(record: LayerRecord) -> bytes:
-    order = PARAM_ORDER[record.kind]
+    order = param_shapes(record.config)
     tensors = [record.params[n] for n in order]
     tensors += [record.optimizer_state[n] for n in order if n in record.optimizer_state]
     header = MAGIC + struct.pack("<III", FORMAT_VERSION, len(tensors), 0)
@@ -40,7 +40,7 @@ def _blob_bytes(record: LayerRecord) -> bytes:
 
 
 def _layer_entry(record: LayerRecord, blob: bytes) -> dict:
-    order = PARAM_ORDER[record.kind]
+    order = param_shapes(record.config)
     return {
         "file": f"{record.id}.bin",
         "kind": record.kind.value,
@@ -162,10 +162,15 @@ def load(directory) -> SystemState:
     if version != FORMAT_VERSION:
         raise DataError(f"checkpoint format version {version} not supported (want {FORMAT_VERSION})")
 
+    for key in ("tasks", "layers"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise DataError(f"malformed manifest: {key!r} must be an object keyed by name")
     tasks: dict[str, TaskSpec] = {}
     for name, td in manifest.get("tasks", {}).items():
         try:
             spec = build_task(td["recipe"], AccessPolicy.from_dict(td["acl"]))
+            if spec.name != name:
+                raise DataError(f"malformed manifest entry for task {name}: its recipe names {spec.name!r}")
             if spec.num_classes != td["num_classes"] or list(spec.input_shape) != list(td["input"]):
                 raise DataError(f"rebuilt task {name!r} does not match its manifest entry")
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
@@ -196,11 +201,17 @@ def load(directory) -> SystemState:
             pending = PendingIteration(task=p["task"], generation_done=int(p["generation_done"]),
                                        econfig=dict(p["econfig"]),
                                        active_models=[_model_from_dict(m) for m in p["active_models"]])
+        retained = {t: _model_from_dict(m) for t, m in manifest["retained_models"].items()}
+        if pending is not None:
+            # A retained model in the pending population is one record, so the selection
+            # counts a resumed iteration adds reach both, as in an uninterrupted run.
+            active = {m.model_id: m for m in pending.active_models}
+            retained = {t: active.get(m.model_id, m) for t, m in retained.items()}
         state = SystemState(
             store=store,
             arch=ArchConfig.from_dict(manifest["arch"]),
             tasks=tasks,
-            retained_models={t: _model_from_dict(m) for t, m in manifest["retained_models"].items()},
+            retained_models=retained,
             rng_seed=int(manifest["rng_seed"]),
             generation_counter=int(manifest["generation_counter"]),
             model_seq=int(manifest["model_seq"]),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CorruptionError, InvariantError, ValidationError
 from .nn.config import ArchConfig, LayerConfig, LayerKind
-from .nn.layers import PARAM_ORDER, param_shapes
+from .nn.layers import param_shapes
 from .util import canonical_json, freeze_array
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +50,7 @@ def content_id(kind: LayerKind, config: LayerConfig, params: Mapping[str, np.nda
         "creator_task": creator_task,
     }
     h.update(canonical_json(meta).encode())
-    order = PARAM_ORDER[kind]
+    order = param_shapes(config)
     _hash_tensors(h, order, params)
     h.update(b"|opt|")
     _hash_tensors(h, order, optimizer_state)

@@ -106,21 +106,20 @@ class TaskSpec:
                 raise ValidationError(f"group policy of {self.name!r} must be non-empty and include it")
 
 
-def acl_allows(consumer, layer: LayerRecord, registry: Mapping[str, TaskSpec]) -> bool:
+def acl_allows(consumer: TaskSpec, layer: LayerRecord, registry: Mapping[str, TaskSpec]) -> bool:
     """True iff every task in the layer's training provenance admits the consumer."""
-    consumer_name = consumer.name if isinstance(consumer, TaskSpec) else str(consumer)
     for owner, _steps in layer.trained_on:
         if owner == "root":
             continue
         spec = registry.get(owner)
         if spec is None:
             raise InvariantError(f"layer {layer.id} provenance names unknown task {owner!r}")
-        if not spec.acl.admits(owner, consumer_name):
+        if not spec.acl.admits(owner, consumer.name):
             return False
     return True
 
 
-def model_allowed(consumer, path_ids, store, registry) -> bool:
+def model_allowed(consumer: TaskSpec, path_ids, store, registry) -> bool:
     """A model is reusable iff every layer on its path passes the ACL."""
     return all(acl_allows(consumer, store.get(lid), registry) for lid in path_ids)
 

@@ -191,12 +191,24 @@ def test_search_space_key_drives_init_and_run(tmp_path, capsys):
     space.validate_genome(load(out / "latest").retained_models["ta"].genome)
 
 
+# case -> (field, values, default) with a value the optimizer rejects
+OUT_OF_RANGE = {
+    "negative learning_rate": ("learning_rate", [-0.5, -0.1, 0.01], -0.1),
+    "momentum above 1": ("momentum", [0.9, 1.5], 1.5),
+    "warmup_ratio of 1": ("warmup_ratio", [0.1, 1.0], 0.1),
+}
+
+
 @pytest.mark.parametrize("command", ["init", "run"])
-@pytest.mark.parametrize("case", ["missing file", "not json", "no values", "no default", "not an object"])
+@pytest.mark.parametrize("case", ["missing file", "not json", "no values", "no default", "not an object",
+                                  *OUT_OF_RANGE])
 def test_bad_search_space_is_a_config_error(tmp_path, capsys, command, case):
     space_file = tmp_path / "space.json"
     table = _shipped_table()
-    if case == "no values":
+    if case in OUT_OF_RANGE:
+        name, values, default = OUT_OF_RANGE[case]
+        table[name] = {"values": values, "default": default}
+    elif case == "no values":
         del table["momentum"]["values"]
     elif case == "no default":
         del table["momentum"]["default"]
@@ -213,7 +225,9 @@ def test_bad_search_space_is_a_config_error(tmp_path, capsys, command, case):
     config, out = write_config(tmp_path, search_space=str(space_file))
     capsys.readouterr()
     assert main([command, "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: search_space: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: search_space: ")
+    assert case not in OUT_OF_RANGE or repr(OUT_OF_RANGE[case][0]) in err
     if command == "init":
         assert not out.exists()
     else:

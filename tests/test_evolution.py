@@ -67,10 +67,8 @@ class TestDrawParent:
                 raise AssertionError("no layers to fetch")
 
         rng = np.random.default_rng(0)
-        from evograft.evolution import ActivePopulation
-        population = ActivePopulation("t", [m1, m2])
         for draw in range(50):
-            sample_parent(population, [], t, rng, DummyStore(), {"t": t})
+            sample_parent([m1, m2], [], t, rng, DummyStore(), {"t": t})
             total = m1.selections_for("t") + m2.selections_for("t")
             assert total == draw + 1
 
@@ -165,8 +163,8 @@ class TestTrainChild:
 class TestIteration:
     def test_retains_exactly_one_model_per_task(self):
         state = tiny_system()
-        report = run_task_iteration(state, "ta", tiny_cfg())
-        assert report.retained_model_id is not None
+        rows = run_task_iteration(state, "ta", tiny_cfg())
+        assert state.retained_models["ta"].model_id in {r["model_id"] for r in rows}
         assert set(state.retained_models) == {"root", "ta"}
         state.validate_references()
 
@@ -180,9 +178,9 @@ class TestIteration:
         b = tiny_system(seed=9)
         ra = run_task_iteration(a, "ta", tiny_cfg())
         rb = run_task_iteration(b, "ta", tiny_cfg())
-        assert ra.retained_model_id == rb.retained_model_id
-        assert ra.retained_score == rb.retained_score
-        assert [r["model_id"] for r in ra.rows] == [r["model_id"] for r in rb.rows]
+        assert a.retained_models["ta"].model_id == b.retained_models["ta"].model_id
+        assert a.retained_models["ta"].score == b.retained_models["ta"].score
+        assert [r["model_id"] for r in ra] == [r["model_id"] for r in rb]
 
     def test_monotone_retention_across_iterations(self):
         state = tiny_system()
@@ -275,8 +273,8 @@ class TestScoring:
         b = tiny_system(seed=21)
         ra = run_task_iteration(a, "ta", tiny_cfg(children_per_generation=4), workers=1)
         rb = run_task_iteration(b, "ta", tiny_cfg(children_per_generation=4), workers=3)
-        assert ra.retained_model_id == rb.retained_model_id
-        assert [r["model_id"] for r in ra.rows] == [r["model_id"] for r in rb.rows]
+        assert a.retained_models["ta"].model_id == b.retained_models["ta"].model_id
+        assert [r["model_id"] for r in ra] == [r["model_id"] for r in rb]
 
 
 class TestSchedule:

@@ -171,9 +171,12 @@ class TestFailureModes:
         lambda m: m.update(pending={"generation_done": 0, "econfig": {}, "active_models": []}),
         lambda m: m["retained_models"]["root"]["path"].__setitem__(0, "0" * 64),
         lambda m: m["retained_models"].update(ta=dict(m["retained_models"]["root"], task="ta", path=[])),
+        lambda m: m.update(tasks=list(m["tasks"].values())),
+        lambda m: m.update(layers=list(m["layers"].values())),
+        lambda m: m["tasks"].update(x=m["tasks"].pop("ta")),
     ], ids=["missing-arch", "bad-hidden-dim", "missing-retained-models", "retained-models-list",
             "missing-genome", "missing-mu", "null-rng-seed", "pending-without-task", "absent-layer",
-            "empty-path"])
+            "empty-path", "tasks-list", "layers-list", "task-key-not-recipe-name"])
     def test_malformed_manifest_is_a_data_error(self, tmp_path, edit):
         state = built_state(evolved=False)
         save(state, tmp_path / "ck")
@@ -222,43 +225,56 @@ class TestFailureModes:
             load(tmp_path / "ck")
 
 
-def interrupt_and_resume(tmp_path, edit_mid=None, workers=1):
-    """Run one iteration straight and once killed at a barrier and resumed from
-    its checkpoint (after `edit_mid` rewrites the barrier manifest); returns both
-    final manifest hashes."""
+def interrupt_and_resume(tmp_path, edit_mid=None, workers=1, seed=14, visits=1, kill_after=1):
+    """Run `visits` iterations of one task straight, and again killed at the
+    barrier after generation `kill_after` of the last visit, reloaded from that
+    barrier's checkpoint (after `edit_mid` rewrites its manifest) and resumed on
+    `workers` threads. Returns, for each run, the manifest hashes of every later
+    barrier of the last visit and of the final state."""
     cfg = EvolutionConfig(num_generations=3, children_per_generation=2, train_cycles=2,
                           samples_cap=48, batch_size=16, allow_insert=True)
 
-    # uninterrupted run
-    a = build_root_state(eg.ArchConfig(), seed=14)
-    register_task(a, make_synthetic_glyph_task("ta", 6, 15, 0.0, 5))
-    run_task_iteration(a, "ta", cfg)
-    save(a, tmp_path / "straight")
+    def fresh():
+        state = build_root_state(eg.ArchConfig(), seed=seed)
+        register_task(state, make_synthetic_glyph_task("ta", 6, 15, 0.0, 5))
+        for _ in range(visits - 1):
+            run_task_iteration(state, "ta", cfg)
+        return state
 
-    # interrupted after generation 2, reloaded, resumed
-    b = build_root_state(eg.ArchConfig(), seed=14)
-    register_task(b, make_synthetic_glyph_task("ta", 6, 15, 0.0, 5))
+    def finish(state, name, workers=1):
+        hashes = []
+
+        def barrier(s, gen):
+            if gen > kill_after:
+                save(s, tmp_path / name / f"gen{gen}")
+                hashes.append(manifest_hash(tmp_path / name / f"gen{gen}"))
+
+        run_task_iteration(state, "ta", cfg, on_generation=barrier, workers=workers)
+        save(state, tmp_path / name / "final")
+        return hashes + [manifest_hash(tmp_path / name / "final")]
+
+    straight = finish(fresh(), "straight")
 
     class StopAfter(Exception):
         pass
 
-    def barrier(state, gen):
-        if gen == 1:
+    def kill(state, gen):
+        if gen == kill_after:
             save(state, tmp_path / "mid")
             raise StopAfter
 
     with pytest.raises(StopAfter):
-        run_task_iteration(b, "ta", cfg, on_generation=barrier)
+        run_task_iteration(fresh(), "ta", cfg, on_generation=kill)
     if edit_mid is not None:
         manifest = json.loads((tmp_path / "mid" / MANIFEST).read_text())
         edit_mid(manifest)
         (tmp_path / "mid" / MANIFEST).write_text(json.dumps(manifest))
     resumed = load(tmp_path / "mid")
     assert resumed.pending is not None
-    assert resumed.pending.generation_done == 2
-    run_task_iteration(resumed, "ta", cfg, workers=workers)
-    save(resumed, tmp_path / "resumed")
-    return manifest_hash(tmp_path / "straight"), manifest_hash(tmp_path / "resumed")
+    assert resumed.pending.generation_done == kill_after + 1
+    resumed_hashes = finish(resumed, "resumed", workers)
+    assert len(resumed_hashes) == len(straight) == cfg.num_generations - kill_after
+    return straight, resumed_hashes
 
 
 class TestResumeEquivalence:
@@ -266,13 +282,23 @@ class TestResumeEquivalence:
         straight, resumed = interrupt_and_resume(tmp_path)
         assert straight == resumed
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupted_second_visit_reproduces_every_later_barrier(self, tmp_path, workers):
+        # The task's retained model is in the pending population; after a reload
+        # both must stay one record, or the barrier manifests drift apart.
+        straight, resumed = interrupt_and_resume(tmp_path, workers=workers, seed=10,
+                                                 visits=2, kill_after=0)
+        assert straight == resumed
+
+    # The legacy field stays in the pending config of the later barriers, so only
+    # the final manifests, which hold no pending iteration, compare equal.
     def test_barrier_checkpoint_with_legacy_workers_field_resumes(self, tmp_path):
         # Older checkpoints persisted the worker count inside the pending config.
         def add_workers(manifest):
             manifest["pending"]["econfig"]["workers"] = 2
 
         straight, resumed = interrupt_and_resume(tmp_path, add_workers, workers=2)
-        assert straight == resumed
+        assert straight[-1] == resumed[-1]
 
     def test_barrier_checkpoint_with_legacy_replica_seed_field_resumes(self, tmp_path):
         # Older checkpoints persisted an unset per-replica seed inside the pending config.
@@ -280,7 +306,7 @@ class TestResumeEquivalence:
             manifest["pending"]["econfig"]["replica_seed"] = None
 
         straight, resumed = interrupt_and_resume(tmp_path, add_replica_seed)
-        assert straight == resumed
+        assert straight[-1] == resumed[-1]
 
     def test_identical_reruns_share_manifest_hash(self, tmp_path):
         for name in ("x", "y"):
