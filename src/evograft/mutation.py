@@ -82,7 +82,11 @@ class SearchSpace:
                     and "default" in entry):
                 raise ConfigError(f"search space field {name!r} needs a values list and a default")
             vals = list(entry["values"])
-            if sorted(vals) != vals:
+            try:
+                ordered = sorted(vals)
+            except TypeError as exc:
+                raise ConfigError(f"search space values for {name!r} are not comparable: {exc}") from exc
+            if ordered != vals:
                 raise ConfigError(f"search space values for {name!r} must be sorted")
             if entry["default"] not in vals:
                 raise ConfigError(f"default for {name!r} not in its value list")

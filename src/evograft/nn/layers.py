@@ -1,9 +1,19 @@
 """Per-kind layer math: parameter shapes, initialization, forward and backward.
 
-All functions are pure and dtype-following: float32 tensors run the production
-path, float64 tensors run the oracle path used by the finite-difference tests.
+All functions are dtype-following: float32 tensors run the production path,
+float64 tensors run the oracle path used by the finite-difference tests.
 Backward passes are hand-derived; the test suite checks every parameter tensor
 of every kind against central differences.
+
+A kernel overwrites only arrays it allocated itself. Its inputs, the layer's
+params, `dy` and every tape (cache) entry are read-only, so a tape can be run
+backward twice. The one exception is `_softmax`, which works in place on the
+score buffer its caller allocated. In-place writes keep each operation's
+operands and order, so every result has the bytes of the out-of-place
+expression it replaces (tests/test_kernel_bytes.py keeps those expressions as
+oracles). That holds when a layer's params share one dtype and `dy` has the
+dtype of the layer's output, as on every network path; the transformer
+backward refuses any other `dy`.
 """
 
 from __future__ import annotations
@@ -83,12 +93,15 @@ def init_params(cfg: LayerConfig, rng: np.random.Generator) -> dict[str, np.ndar
 # primitive ops
 
 def _layernorm_fwd(x, gamma, beta):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * gamma + beta, (xhat, inv)
+    xc = x - x.mean(-1, keepdims=True)
+    inv = (xc * xc).mean(-1, keepdims=True)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xc *= inv  # xhat
+    y = xc * gamma
+    y += beta
+    return y, (xc, inv)
 
 
 def _layernorm_bwd(dy, gamma, cache, want_params=True, want_dx=True):
@@ -99,22 +112,45 @@ def _layernorm_bwd(dy, gamma, cache, want_params=True, want_dx=True):
         dgamma = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
         dbeta = dy.sum(axis=tuple(range(dy.ndim - 1)))
     if want_dx:
-        dxhat = dy * gamma
-        m1 = dxhat.mean(-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(-1, keepdims=True)
-        dx = (dxhat - m1 - xhat * m2) * inv
+        dx = dy * gamma  # dxhat
+        m1 = dx.mean(-1, keepdims=True)
+        prod = dx * xhat
+        m2 = prod.mean(-1, keepdims=True)
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=prod)
+        dx *= inv
     return dx, dgamma, dbeta
 
 
 def _gelu_fwd(u):
-    u2 = u * u
-    t = np.tanh(u * (_GELU_C + (_GELU_C * _GELU_A) * u2))
-    return 0.5 * u * (1.0 + t), t
+    """tanh-approximate GELU; returns (g, t), t being the tanh the backward needs."""
+    # t = tanh(u * (C + (C*A) * u*u)); g = 0.5*u * (1 + t)
+    t = u * u
+    t *= _GELU_C * _GELU_A
+    t += _GELU_C
+    t *= u
+    np.tanh(t, out=t)
+    g = 0.5 * u
+    g *= 1.0 + t
+    return g, t
 
 
 def _gelu_bwd(du_out, u, t):
-    inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (u * u))
-    return du_out * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * inner)
+    # du_out * (0.5*(1 + t) + 0.5*u * (1 - t*t) * inner), inner = C * (1 + 3A * u*u)
+    inner = u * u
+    inner *= 3.0 * _GELU_A
+    inner += 1.0
+    inner *= _GELU_C
+    tail = 0.5 * u
+    dt = t * t
+    np.subtract(1.0, dt, out=dt)
+    tail *= dt
+    tail *= inner
+    du = np.add(1.0, t, out=dt)
+    du *= 0.5
+    du += tail
+    du *= du_out
+    return du
 
 
 def _dense_fwd(x, w, b):
@@ -136,10 +172,12 @@ def _dense_bwd(x, w, dy, want_params=True, want_dx=True):
     return dw, db, dx
 
 
-def _softmax(x):
-    z = x - x.max(-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(-1, keepdims=True)
+def _softmax(z):
+    """Row softmax of z, computed in place in z (a buffer the caller allocated)."""
+    z -= z.max(-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(-1, keepdims=True)
+    return z
 
 
 def _patchify(images: np.ndarray, p: int) -> np.ndarray:
@@ -244,26 +282,23 @@ def _transformer_fwd(cfg: LayerConfig, params: dict, x: np.ndarray):
     # One fused GEMM for q,k,v; the per-tensor parameters stay separate.
     w_qkv = np.concatenate([params["wq"], params["wk"], params["wv"]], axis=1)
     b_qkv = np.concatenate([params["bq"], params["bk"], params["bv"]])
-    qkv = h.reshape(b * t, d) @ w_qkv + b_qkv
-
-    def split(z):
-        return np.ascontiguousarray(z.reshape(b, t, nh, dh).transpose(0, 2, 1, 3))  # [B,H,T,dh]
-
-    qh = split(qkv[:, :d])
-    kh = split(qkv[:, d:2 * d])
-    vh = split(qkv[:, 2 * d:])
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    qkv = h.reshape(b * t, d) @ w_qkv
+    qkv += b_qkv
+    # One copy splits q, k and v into heads: [3,B,H,T,dh].
+    qh, kh, vh = np.ascontiguousarray(qkv.reshape(b, t, 3, nh, dh).transpose(2, 0, 3, 1, 4))
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= scale
     attn = _softmax(scores)
     ctx = attn @ vh  # [B,H,T,dh]
     cat = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
-    o = _dense_fwd(cat, params["wo"], params["bo"])
-    x1 = x + o
+    x1 = _dense_fwd(cat, params["wo"], params["bo"])
+    x1 += x
 
     h2, ln2_cache = _layernorm_fwd(x1, params["ln2_gamma"], params["ln2_beta"])
     u = _dense_fwd(h2, params["mlp_w1"], params["mlp_b1"])
     g, t_gelu = _gelu_fwd(u)
-    f = _dense_fwd(g, params["mlp_w2"], params["mlp_b2"])
-    y = x1 + f
+    y = _dense_fwd(g, params["mlp_w2"], params["mlp_b2"])
+    y += x1
 
     cache = (ln1_cache, h, qh, kh, vh, attn, cat, ln2_cache, h2, u, t_gelu, g)
     return y, cache
@@ -275,6 +310,8 @@ def _transformer_bwd(cfg: LayerConfig, params: dict, cache, dy, want_param_grads
     if not (want_param_grads or want_dx):
         return None, None
     ln1_cache, h, qh, kh, vh, attn, cat, ln2_cache, h2, u, t_gelu, g = cache
+    if dy.dtype != g.dtype:
+        raise StructuralError(f"transformer backward needs dy of its output dtype {g.dtype}, got {dy.dtype}")
     nh = cfg.num_heads
     b, t, d = h.shape
     dh = d // nh
@@ -285,29 +322,31 @@ def _transformer_bwd(cfg: LayerConfig, params: dict, cache, dy, want_param_grads
     dmlp_w2, dmlp_b2, dg = _dense_bwd(g, params["mlp_w2"], dy, wp)
     du = _gelu_bwd(dg, u, t_gelu)
     dmlp_w1, dmlp_b1, dh2 = _dense_bwd(h2, params["mlp_w1"], du, wp)
-    dx1_ln, dln2_g, dln2_b = _layernorm_bwd(dh2, params["ln2_gamma"], ln2_cache, wp)
-    dx1 = dy + dx1_ln
+    dx1, dln2_g, dln2_b = _layernorm_bwd(dh2, params["ln2_gamma"], ln2_cache, wp)
+    dx1 += dy
 
     # x1 = x + o(attention(ln1(x)))
     dwo, dbo, dcat = _dense_bwd(cat, params["wo"], dx1, wp)
     dctx = dcat.reshape(b, t, nh, dh).transpose(0, 2, 1, 3)
     dattn = dctx @ vh.transpose(0, 1, 3, 2)
-    dvh = attn.transpose(0, 1, 3, 2) @ dctx
+    dheads = np.empty((3,) + qh.shape, dattn.dtype)  # dq, dk, dv
+    np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dheads[2])
     # softmax backward (rows of attn)
-    dscores = attn * (dattn - (dattn * attn).sum(-1, keepdims=True))
+    dscores = dattn
+    dscores -= (dattn * attn).sum(-1, keepdims=True)
+    dscores *= attn
     dscores *= scale
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh
-
-    def merge(z):
-        return np.ascontiguousarray(z.transpose(0, 2, 1, 3)).reshape(b * t, d)
-
-    dqkv = np.concatenate([merge(dqh), merge(dkh), merge(dvh)], axis=1)
+    np.matmul(dscores, kh, out=dheads[0])
+    np.matmul(dscores.transpose(0, 1, 3, 2), qh, out=dheads[1])
+    # One copy merges the heads back: [B*T, 3*D], columns q | k | v.
+    dqkv = np.ascontiguousarray(dheads.transpose(1, 3, 0, 2, 4)).reshape(b * t, 3 * d)
     # LN1's gamma/beta gradients need dh_total even when dx is not wanted.
     w_qkv = np.concatenate([params["wq"], params["wk"], params["wv"]], axis=1)
     dh_total = (dqkv @ w_qkv.T).reshape(b, t, d)
     dx_ln, dln1_g, dln1_b = _layernorm_bwd(dh_total, params["ln1_gamma"], ln1_cache, wp, want_dx)
-    dx = dx1 + dx_ln if want_dx else None
+    dx = dx_ln
+    if want_dx:
+        dx += dx1
     if not wp:
         return None, dx
 

@@ -158,6 +158,8 @@ def load(directory) -> SystemState:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError("malformed manifest: the top level must be an object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"checkpoint format version {version} not supported (want {FORMAT_VERSION})")

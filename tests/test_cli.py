@@ -200,8 +200,8 @@ OUT_OF_RANGE = {
 
 
 @pytest.mark.parametrize("command", ["init", "run"])
-@pytest.mark.parametrize("case", ["missing file", "not json", "no values", "no default", "not an object",
-                                  *OUT_OF_RANGE])
+@pytest.mark.parametrize("case", ["missing file", "not json", "no values", "no default", "mixed types",
+                                  "not an object", *OUT_OF_RANGE])
 def test_bad_search_space_is_a_config_error(tmp_path, capsys, command, case):
     space_file = tmp_path / "space.json"
     table = _shipped_table()
@@ -212,6 +212,8 @@ def test_bad_search_space_is_a_config_error(tmp_path, capsys, command, case):
         del table["momentum"]["values"]
     elif case == "no default":
         del table["momentum"]["default"]
+    elif case == "mixed types":
+        table["momentum"] = {"values": [0.9, "x"], "default": 0.9}
     elif case == "not an object":
         table = [table]
     if case == "not json":

@@ -92,6 +92,10 @@ class TestRoundTrip:
             assert abs(sum(after.values()) - 1.0) <= 1e-9
 
 
+def _wrap_in_list(manifest):
+    return [manifest]
+
+
 class TestFailureModes:
     def test_empty_directory_is_a_clean_error(self, tmp_path):
         with pytest.raises(DataError, match="no checkpoint"):
@@ -174,15 +178,17 @@ class TestFailureModes:
         lambda m: m.update(tasks=list(m["tasks"].values())),
         lambda m: m.update(layers=list(m["layers"].values())),
         lambda m: m["tasks"].update(x=m["tasks"].pop("ta")),
+        _wrap_in_list,
     ], ids=["missing-arch", "bad-hidden-dim", "missing-retained-models", "retained-models-list",
             "missing-genome", "missing-mu", "null-rng-seed", "pending-without-task", "absent-layer",
-            "empty-path", "tasks-list", "layers-list", "task-key-not-recipe-name"])
+            "empty-path", "tasks-list", "layers-list", "task-key-not-recipe-name", "top-level-list"])
     def test_malformed_manifest_is_a_data_error(self, tmp_path, edit):
         state = built_state(evolved=False)
         save(state, tmp_path / "ck")
         manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
-        edit(manifest)
-        (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
+        edited = edit(manifest)  # every other edit mutates the manifest in place
+        document = edited if edit is _wrap_in_list else manifest
+        (tmp_path / "ck" / MANIFEST).write_text(json.dumps(document))
         with pytest.raises(DataError, match="malformed manifest"):
             load(tmp_path / "ck")
         assert main(["eval", "ta", "--checkpoint", str(tmp_path / "ck")]) == 3
