@@ -104,26 +104,23 @@ def _search_space(cfg: dict) -> SearchSpace:
         raise ConfigError(f"search_space: {exc}") from exc
 
 
-def _latest_dir(output_dir: str) -> Path:
-    return Path(output_dir) / "latest"
-
-
 def cmd_init(args) -> int:
     cfg = _load_config(args.config)
     arch, root, tasks, schedule, _, _ = _parse_experiment(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     space = _search_space(cfg)
     if root["mode"] == "load-checkpoint":
         state = persistence.load(root["path"])
-        state.rng_seed = seed if args.seed is not None else state.rng_seed
+        _expect("arch" not in cfg or arch == state.arch, "arch",
+                f"differs from the loaded checkpoint's {state.arch.to_dict()}")
+        state.rng_seed = int(cfg.get("seed", state.rng_seed))
     else:
-        state = build_root_state(arch, seed, space=space)
+        state = build_root_state(arch, int(cfg.get("seed", 0)), space=space)
     for entry in tasks:
         register_task(state, _build_task_spec(entry))
     for i, entry in enumerate(schedule):
         _expect(entry["task"] in state.tasks, f"schedule[{i}].task",
                 f"unknown task {entry['task']!r}")
-    out = _latest_dir(args.checkpoint or cfg["output_dir"])
+    out = Path(cfg["output_dir"]) / "latest"
     persistence.save(state, out)
     print(json.dumps({"checkpoint": str(out), "tasks": sorted(state.tasks),
                       "layers": len(state.store)}))
@@ -142,13 +139,10 @@ def _score_replica(state: SystemState, accuracies: dict[str, list[float]],
 
 def cmd_run(args) -> int:
     _expect(args.workers >= 1, "--workers", "must be >= 1")
-    _expect(args.replicas is None or args.replicas >= 1, "--replicas", "must be >= 1")
     cfg = _load_config(args.config)
     _, _, _, schedule, econfig, replicas = _parse_experiment(cfg)
-    if args.replicas is not None:
-        replicas = args.replicas
-    out_root = Path(args.checkpoint or cfg["output_dir"])
-    latest = _latest_dir(out_root)
+    out_root = Path(cfg["output_dir"])
+    latest = out_root / "latest"
     if not (latest / persistence.MANIFEST).exists():
         raise ConfigError(f"no initialized checkpoint at {latest}; run init first")
     space = _search_space(cfg)
@@ -177,19 +171,24 @@ def cmd_run(args) -> int:
     return 0
 
 
+REPORT_FORMATS = {"params": ("json", "csv"), "graph": ("json", "dot"),
+                  "provenance": ("json",), "variance": ("json",)}
+
+
 def cmd_report(args) -> int:
+    formats = REPORT_FORMATS[args.kind]
+    _expect(args.format in formats, "--format", f"report {args.kind} takes {' or '.join(formats)}")
     state = persistence.load(_resolve_checkpoint(args.checkpoint))
-    fmt = args.format
     if args.kind == "params":
         report = accounting.param_report(state)
-        out = accounting.params_csv(report) if fmt == "csv" else canonical_json(report.to_dict())
+        out = accounting.params_csv(report) if args.format == "csv" else canonical_json(report.to_dict())
     elif args.kind == "provenance":
         prov = {t: provenance_report(m, state.store)
                 for t, m in sorted(state.retained_models.items())}
         out = canonical_json(prov)
     elif args.kind == "graph":
-        out = accounting.export_graph(state, "json" if fmt == "json" else "dot")
-    elif args.kind == "variance":
+        out = accounting.export_graph(state, args.format)
+    else:  # variance
         root = Path(args.checkpoint)
         # replica order, as `run` scored them: replica_10 after replica_9
         replica_dirs = sorted(root.glob("replica_*/latest"),
@@ -201,8 +200,6 @@ def cmd_report(args) -> int:
         for d in replica_dirs:
             _score_replica(persistence.load(d), accs, spc)
         out = canonical_json(accounting.variance_summary(accs, spc))
-    else:
-        raise ConfigError(f"unknown report kind {args.kind!r}")
     if args.out:
         Path(args.out).write_text(out if out.endswith("\n") else out + "\n")
     else:
@@ -248,22 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_init = sub.add_parser("init", help="create a checkpoint with the root model")
     p_init.add_argument("--config", required=True)
-    p_init.add_argument("--checkpoint", default=None, help="override output directory")
-    p_init.add_argument("--seed", type=int, default=None)
     p_init.set_defaults(func=cmd_init)
 
     p_run = sub.add_parser("run", help="execute the configured task schedule")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--checkpoint", default=None, help="override output directory")
     p_run.add_argument("--workers", type=int, default=1,
                        help="threads training each generation; not part of the experiment config")
-    p_run.add_argument("--replicas", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="export reports from a checkpoint")
-    p_rep.add_argument("kind", choices=["params", "provenance", "graph", "variance"])
+    p_rep.add_argument("kind", choices=list(REPORT_FORMATS))
     p_rep.add_argument("--checkpoint", required=True)
-    p_rep.add_argument("--format", choices=["dot", "json", "csv"], default="json")
+    p_rep.add_argument("--format", default="json",
+                       help="params: json or csv; graph: json or dot; provenance, variance: json")
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(func=cmd_report)
 

@@ -84,6 +84,7 @@ def model_resolution(path: list[PathLayer]) -> int:
 
 def score_path(path: list[PathLayer], task: TaskSpec, split: str) -> float:
     """Top-1 accuracy with eval-mode preprocessing, deterministic iteration order."""
+    path = [PathLayer(pl.config, pl.params) for pl in path]  # frozen: forward keeps no tape
     ds = task.splits[split]
     resolution = model_resolution(path)
     correct = 0
@@ -171,12 +172,9 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
     pre_cfg = child.genome.preproc_config()
 
     params = {(pos, name): wl.params[name] for pos, wl in work for name in wl.params}
-    velocity = {}
-    for pos, wl in work:
-        for name in wl.params:
-            v = wl.opt_state.get(name)
-            velocity[(pos, name)] = (np.array(v, np.float32) if v is not None
-                                     else np.zeros_like(wl.params[name]))
+    # Cloning copied the momentum to float32 already, and sgd_step never writes its inputs.
+    velocity = {(pos, name): wl.opt_state[name] if name in wl.opt_state else np.zeros_like(p)
+                for pos, wl in work for name, p in wl.params.items()}
 
     threshold = parent_score_on_task if parent_score_on_task is not None else -math.inf
     result = TrainResult(cycle_scores=[])

@@ -82,7 +82,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def save(state: SystemState, directory) -> dict:
     """Write a complete checkpoint; the manifest lands last, so a partial write
-    never yields a loadable directory. Returns the manifest as a dict."""
+    never yields a loadable directory. Then delete every blob in the directory
+    that the manifest does not list. Returns the manifest as a dict."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     layers = {}
@@ -113,6 +114,10 @@ def save(state: SystemState, directory) -> dict:
         },
     }
     _atomic_write(directory / MANIFEST, canonical_json(manifest).encode())
+    listed = {entry["file"] for entry in layers.values()}
+    for blob in directory.glob("*.bin"):
+        if blob.name not in listed:
+            blob.unlink()
     return manifest
 
 

@@ -236,12 +236,67 @@ def test_bad_search_space_is_a_config_error(tmp_path, capsys, command, case):
         assert os.listdir(out) == ["latest"] and manifest_hash(out / "latest") == before
 
 
+# Flags that duplicated a config key (search_space, seed, output_dir, replicas).
+DELETED_FLAGS = {"init": [["--search-space", "space.json"], ["--seed", "3"], ["--checkpoint", "elsewhere"]],
+                 "run": [["--search-space", "space.json"], ["--checkpoint", "elsewhere"], ["--replicas", "3"]]}
+
+
 @pytest.mark.parametrize("command", ["init", "run"])
 def test_search_space_flag_is_gone(tmp_path, command):
     config, out = write_config(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(config), "--search-space", str(tmp_path / "space.json")])
-    assert exc.value.code == 2
+    for flag in DELETED_FLAGS[command]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), *flag])
+        assert exc.value.code == 2
+    assert not out.exists()
+
+
+def _load_root_config(tmp_path, source, **overrides):
+    """A config that extends the checkpoint `source`, without the keys set to None."""
+    config, out = write_config(tmp_path, **{"root": {"mode": "load-checkpoint", "path": str(source)},
+                                            "output_dir": str(tmp_path / "out"), **overrides})
+    cfg = {k: v for k, v in json.loads(config.read_text()).items() if v is not None}
+    config.write_text(json.dumps(cfg))
+    return config, out
+
+
+@pytest.mark.parametrize("seed", [5, None])
+def test_config_seed_replaces_a_loaded_roots_seed(tmp_path, capsys, seed):
+    config, out = write_config(tmp_path / "src")
+    assert main(["init", "--config", str(config)]) == 0
+    assert load(out / "latest").rng_seed == 77
+    config, cont = _load_root_config(tmp_path / "cont", out / "latest", seed=seed)
+    assert main(["init", "--config", str(config)]) == 0
+    assert load(cont / "latest").rng_seed == (77 if seed is None else seed)
+
+
+def test_config_arch_must_match_a_loaded_root(tmp_path, capsys):
+    config, out = write_config(tmp_path / "src")
+    assert main(["init", "--config", str(config)]) == 0
+    before = manifest_hash(out / "latest")
+    # re-initialize the same output root from its own checkpoint, with a wider model
+    config, _ = _load_root_config(tmp_path / "cont", out / "latest", output_dir=str(out),
+                                  arch={"hidden_dim": 48})
+    capsys.readouterr()
+    assert main(["init", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: arch: ")
+    assert os.listdir(out) == ["latest"] and manifest_hash(out / "latest") == before
+    # without the key the loaded arch stands
+    config, _ = _load_root_config(tmp_path / "cont", out / "latest", output_dir=str(out), arch=None)
+    assert main(["init", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("kind, fmt", [("params", "dot"), ("graph", "csv"), ("provenance", "csv"),
+                                       ("provenance", "dot"), ("variance", "csv"), ("variance", "dot"),
+                                       ("params", "xml")])
+def test_report_rejects_a_format_the_view_lacks(tmp_path, capsys, kind, fmt):
+    config, out = write_config(tmp_path)
+    assert main(["init", "--config", str(config)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.txt"
+    assert main(["report", kind, "--checkpoint", str(out), "--format", fmt, "--out", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: --format: ")
+    assert not report.exists()
 
 
 def test_workers_is_not_an_evolution_config_field(tmp_path, capsys):
@@ -288,12 +343,41 @@ def test_replicated_run_writes_sibling_outputs_and_variance(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == variance
 
 
-@pytest.mark.parametrize("flag", ["0", "-1"])
-def test_run_rejects_fewer_than_one_replica(tmp_path, capsys, flag):
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_run_rejects_fewer_than_one_replica(tmp_path, capsys, replicas):
     config, out = write_config(tmp_path)
     assert main(["init", "--config", str(config)]) == 0
     before = manifest_hash(out / "latest")
-    assert main(["run", "--config", str(config), "--replicas", flag]) == 2
-    assert "--replicas" in capsys.readouterr().err
+    config, out = write_config(tmp_path, replicas=replicas)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: replicas: ")
     assert os.listdir(out) == ["latest"]
     assert manifest_hash(out / "latest") == before
+
+
+def _blobs_match_manifests(root):
+    for manifest in root.rglob(MANIFEST):
+        listed = {entry["file"] for entry in json.loads(manifest.read_text())["layers"].values()}
+        assert {blob.name for blob in manifest.parent.glob("*.bin")} == listed, manifest.parent
+
+
+def test_checkpoint_directories_hold_only_their_manifests_blobs(tmp_path, capsys):
+    # Later iterations replace the private task's retained model, and the replaced
+    # model's layers are collected: none of their blobs may stay on disk.
+    config, out = write_config(
+        tmp_path, seed=5,
+        arch={"hidden_dim": 32, "num_heads": 2, "mlp_dim": 64, "patch_size": 4,
+              "image_resolution": 24, "channels": 1},
+        tasks=[{"type": "synthetic_glyphs", "name": "tp", "num_classes": 6, "samples_per_class": 15,
+                "noise": 0.0, "seed": 5, "resolution": 24, "patch_size": 4, "acl": {"mode": "private"}}],
+        schedule=[{"task": "tp", "iterations": 3}],
+        evolution={**EVOLUTION, "num_generations": 2, "children_per_generation": 3,
+                   "train_cycles": 3, "samples_cap": 64})
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    first, last = (load(out / d).store.ids() for d in ("checkpoints/000_tp", "latest"))
+    assert set(first) - set(last)  # the run collected layers it had saved to latest
+    _blobs_match_manifests(out)
+    assert main(["gc", "--checkpoint", str(out)]) == 0
+    _blobs_match_manifests(out)

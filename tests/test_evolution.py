@@ -248,6 +248,28 @@ class TestScoring:
         sigma = math.sqrt((1 / 6) * (5 / 6) / n)
         assert abs(acc - 1 / 6) <= 3 * sigma + 1e-9
 
+    def test_validation_runs_a_frozen_view_of_a_trainable_path(self, monkeypatch):
+        from evograft import evolution
+        state = tiny_system()
+        task = state.tasks["ta"]
+        root = state.retained_models["root"]
+        insert = (3, state.arch.layer_config(eg.LayerKind.TRANSFORMER))
+        delta = MutationSet((), frozenset({0, 2}), (insert,), new_head=True)
+        child = apply_mutations(root, delta, state.store, np.random.default_rng(3), task)
+        path = evolution.materialize_path(child.entries, state.store)
+        assert [pl.trainable for pl in path] == [True, False, True, True, True]
+        untaped = evolution.score_path(path, task, "validation")
+
+        network_forward, received = evolution.forward, []
+
+        def taped_forward(layers, images):
+            received.append([pl.trainable for pl in layers])
+            return network_forward(path, images)  # the path as given, taped from its first layer
+
+        monkeypatch.setattr(evolution, "forward", taped_forward)
+        assert evolution.score_path(path, task, "validation") == untaped
+        assert received and not any(any(flags) for flags in received)
+
     def test_head_only_model_learns_synthetic_task_to_95_percent(self):
         # Learnability floor: evolution must have signal to climb even at depth 0.
         import dataclasses
