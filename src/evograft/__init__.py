@@ -13,7 +13,7 @@ from .errors import (AclError, ConfigError, CorruptionError, DataError, Evograft
                      InvariantError, StructuralError, ValidationError)
 from .evolution import EvolutionConfig, run_task_iteration, sample_parent, score_model, train_child
 from .mutation import Genome, MutationSet, SearchSpace, apply_mutations, sample_mutations
-from .nn.config import ArchConfig, Batch, LayerConfig, LayerKind, OptimizerConfig, PreprocConfig
+from .nn.config import ArchConfig, LayerConfig, LayerKind, OptimizerConfig
 from .persistence import load, manifest_hash, save
 from .store import (LayerRecord, LayerStore, ModelRecord, SystemState, garbage_collect,
                     provenance_report)

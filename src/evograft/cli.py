@@ -20,8 +20,8 @@ from .evolution import EvolutionConfig, run_task_iteration, score_model
 from .mutation import SearchSpace
 from .nn.config import ArchConfig
 from .store import SystemState, garbage_collect, provenance_report
-from .system import ROOT_TASK, build_root_state, register_task
-from .tasks import AccessPolicy, TaskSpec, build_task
+from .system import build_root_state, register_task
+from .tasks import ROOT_TASK, AccessPolicy, TaskSpec, build_task
 from .util import canonical_json, derive_seed, is_count, keep_heap
 
 
@@ -41,15 +41,33 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _parse_arch(cfg: dict) -> ArchConfig:
+    fields = cfg.get("arch", {})
+    _expect(isinstance(fields, dict), "arch", "must be an object")
+    defaults = ArchConfig().to_dict()
+    for key, value in fields.items():
+        _expect(key not in defaults or is_count(value), f"arch.{key}", "must be a positive integer")
+    arch = ArchConfig.from_dict({**defaults, **fields})
+    try:
+        arch.validate()
+    except ValidationError as exc:
+        raise ConfigError(f"arch: {exc}") from exc
+    return arch
+
+
 def _parse_experiment(cfg: dict):
-    _expect("output_dir" in cfg, "output_dir", "required")
-    _expect(isinstance(cfg.get("seed", 0), int), "seed", "must be an integer")
-    arch = ArchConfig.from_dict({**ArchConfig().to_dict(), **cfg.get("arch", {})})
+    _expect(isinstance(cfg.get("output_dir"), str) and cfg["output_dir"], "output_dir",
+            "required, a directory path")
+    seed = cfg.get("seed", 0)
+    _expect(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")
+    arch = _parse_arch(cfg)
     root = cfg.get("root", {"mode": "from-scratch-stripped"})
+    _expect(isinstance(root, dict), "root", "must be an object")
     _expect(root.get("mode") in ("from-scratch-stripped", "load-checkpoint"),
             "root.mode", "must be from-scratch-stripped or load-checkpoint")
     if root["mode"] == "load-checkpoint":
-        _expect("path" in root, "root.path", "required for load-checkpoint")
+        _expect(isinstance(root.get("path"), str), "root.path",
+                "load-checkpoint needs a checkpoint directory path")
 
     tasks = cfg.get("tasks", [])
     _expect(isinstance(tasks, list), "tasks", "must be a list")
@@ -178,7 +196,8 @@ REPORT_FORMATS = {"params": ("json", "csv"), "graph": ("json", "dot"),
 def cmd_report(args) -> int:
     formats = REPORT_FORMATS[args.kind]
     _expect(args.format in formats, "--format", f"report {args.kind} takes {' or '.join(formats)}")
-    state = persistence.load(_resolve_checkpoint(args.checkpoint))
+    # the variance view scores the replicas' checkpoints and never reads the root's own
+    state = None if args.kind == "variance" else persistence.load(_resolve_checkpoint(args.checkpoint))
     if args.kind == "params":
         report = accounting.param_report(state)
         out = accounting.params_csv(report) if args.format == "csv" else canonical_json(report.to_dict())

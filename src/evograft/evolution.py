@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .mutation import ChildModel, SearchSpace, WorkLayer, apply_mutations, sample_mutations
-from .nn.config import LayerKind, PreprocConfig
+from .nn.config import LayerKind
 from .nn.network import PathLayer, backward, forward
 from .nn.optim import sgd_step
 from .nn.preprocess import preprocess
@@ -90,10 +90,9 @@ def score_path(path: list[PathLayer], task: TaskSpec, split: str) -> float:
     correct = 0
     for start in range(0, len(ds), EVAL_BATCH):
         idx = np.arange(start, min(start + EVAL_BATCH, len(ds)))
-        batch = preprocess(ds.batch(idx), PreprocConfig(), train_mode=False,
-                           rng=None, resolution=resolution)
-        tape = forward(path, batch.images)
-        correct += int((tape.logits.argmax(axis=1) == batch.labels).sum())
+        images, labels = ds.batch(idx)
+        tape = forward(path, preprocess(images, None, train_mode=False, rng=None, resolution=resolution))
+        correct += int((tape.logits.argmax(axis=1) == labels).sum())
     return correct / len(ds)
 
 
@@ -169,7 +168,6 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
     n_cycle = cycle_sample_count(len(train_ds), cfg.samples_cap)
     steps_per_cycle = math.ceil(n_cycle / cfg.batch_size)
     opt_cfg = child.genome.optimizer_config(total_steps=cfg.train_cycles * steps_per_cycle)
-    pre_cfg = child.genome.preproc_config()
 
     params = {(pos, name): wl.params[name] for pos, wl in work for name in wl.params}
     # Cloning copied the momentum to float32 already, and sgd_step never writes its inputs.
@@ -185,10 +183,10 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
         for _ in range(cfg.train_cycles):
             perm = rng.permutation(len(train_ds))[:n_cycle]
             for start in range(0, n_cycle, cfg.batch_size):
-                batch = preprocess(train_ds.batch(perm[start:start + cfg.batch_size]),
-                                   pre_cfg, train_mode=True, rng=rng, resolution=resolution)
-                tape = forward(path, batch.images)
-                loss, grads = backward(tape, batch.labels)
+                images, labels = train_ds.batch(perm[start:start + cfg.batch_size])
+                tape = forward(path, preprocess(images, child.genome, train_mode=True,
+                                                rng=rng, resolution=resolution))
+                loss, grads = backward(tape, labels)
                 if not math.isfinite(loss):
                     result.diverged = True
                     return result

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AclError, ConfigError, ValidationError
-from .nn.config import LayerConfig, LayerKind, OptimizerConfig, PreprocConfig
+from .nn.config import LayerConfig, LayerKind, OptimizerConfig
 from .nn.layers import init_params
 from .store import LayerRecord, LayerStore, ModelRecord, TrainedOn
 
@@ -55,12 +55,6 @@ class Genome:
         return OptimizerConfig(learning_rate=self.learning_rate, warmup_ratio=self.warmup_ratio,
                                momentum=self.momentum, nesterov=self.nesterov,
                                total_steps=total_steps, clip_norm=1.0)
-
-    def preproc_config(self) -> PreprocConfig:
-        return PreprocConfig(crop=self.crop, crop_area_min=self.crop_area_min,
-                             crop_aspect_min=self.crop_aspect_min, flip_lr=self.flip_lr,
-                             brightness_delta=self.brightness_delta, contrast_delta=self.contrast_delta,
-                             saturation_delta=self.saturation_delta, hue_delta=self.hue_delta)
 
 
 GENOME_FIELDS = tuple(f.name for f in fields(Genome))

@@ -1,11 +1,9 @@
-"""Configuration types for the neural substrate: layer geometry, optimizer, preprocessing."""
+"""Configuration types for the neural substrate: layer geometry and optimizer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from ..errors import ValidationError
 
@@ -111,6 +109,11 @@ class ArchConfig:
             return LayerConfig(kind, self.hidden_dim, num_classes=num_classes)
         raise ValidationError(f"unknown layer kind {kind}")
 
+    def validate(self) -> None:
+        """Every layer kind's config must pass its checks, so any clone or insert can build."""
+        for kind in LayerKind:
+            self.layer_config(kind, num_classes=1).validate()
+
     def to_dict(self) -> dict:
         return {
             "hidden_dim": self.hidden_dim, "num_heads": self.num_heads, "mlp_dim": self.mlp_dim,
@@ -138,29 +141,3 @@ class OptimizerConfig:
             raise ValidationError("learning_rate must be > 0 and warmup_ratio in (0,1)")
         if not (0 <= self.momentum < 1) or self.clip_norm <= 0 or self.total_steps <= 0:
             raise ValidationError("momentum in [0,1), clip_norm > 0, total_steps > 0 required")
-
-
-@dataclass(frozen=True)
-class PreprocConfig:
-    crop: bool = True
-    crop_area_min: float = 0.05
-    crop_aspect_min: float = 0.75
-    flip_lr: bool = True
-    brightness_delta: float = 0.0
-    contrast_delta: float = 0.0
-    saturation_delta: float = 0.0
-    hue_delta: float = 0.0
-
-
-@dataclass
-class Batch:
-    """A minibatch: images in [0,1], integer class labels."""
-
-    images: np.ndarray  # [B, H, W, C] float32
-    labels: np.ndarray  # [B] int64
-
-    def __post_init__(self):
-        if self.images.ndim != 4:
-            raise ValidationError(f"images must be [B,H,W,C], got shape {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
-            raise ValidationError("labels must be one per image")

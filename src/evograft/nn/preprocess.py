@@ -14,11 +14,14 @@ byte regardless of batch size.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import StructuralError
-from .config import Batch, PreprocConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..mutation import Genome
 
 _LUMA = (0.299, 0.587, 0.114)
 
@@ -83,24 +86,24 @@ def _rotate_hue(img: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.einsum("bhwc,bdc->bhwd", img, m)
 
 
-def preprocess(batch: Batch, cfg: PreprocConfig, train_mode: bool,
-               rng: np.random.Generator | None, resolution: int) -> Batch:
-    """Preprocess a batch to [resolution, resolution] images in [0,1].
+def preprocess(images: np.ndarray, cfg: Genome | None, train_mode: bool,
+               rng: np.random.Generator | None, resolution: int) -> np.ndarray:
+    """Preprocess [B,H,W,C] images in [0,1] to a new [B, resolution, resolution, C] float32 array.
 
-    Train mode: random crop (area ~ U[crop_area_min, 1], aspect ~
-    U[crop_aspect_min, 1/crop_aspect_min], resized back), left/right flip with
-    probability 0.5, then brightness/contrast/saturation/hue jitter, clamped to
-    [0,1]. Eval mode is a pure center-resize.
+    Train mode augments with the genome's magnitudes: random crop (area ~
+    U[crop_area_min, 1], aspect ~ U[crop_aspect_min, 1/crop_aspect_min],
+    resized back), left/right flip with probability 0.5, then
+    brightness/contrast/saturation/hue jitter, clamped to [0,1]. Eval mode is a
+    pure center-resize and reads no genome. The input is never written.
     """
-    images = batch.images
     if images.dtype != np.float32:
         images = images.astype(np.float32)
-    if train_mode and rng is None:
-        raise StructuralError("train-mode preprocessing requires an rng")
+    if train_mode and (rng is None or cfg is None):
+        raise StructuralError("train-mode preprocessing requires an rng and a genome")
     b, h, w, c = images.shape
 
     if not train_mode:
-        return Batch(images=_eval_resize(images, resolution), labels=batch.labels)
+        return _eval_resize(images, resolution)
 
     if cfg.crop:
         area = rng.uniform(cfg.crop_area_min, 1.0, b) * (h * w)
@@ -136,4 +139,4 @@ def preprocess(batch: Batch, cfg: PreprocConfig, train_mode: bool,
     if cfg.brightness_delta > 0 or cfg.contrast_delta > 0 or (
             c == 3 and (cfg.saturation_delta > 0 or cfg.hue_delta > 0)):
         out = np.clip(out, 0.0, 1.0)
-    return Batch(images=np.ascontiguousarray(out), labels=batch.labels)
+    return np.ascontiguousarray(out)

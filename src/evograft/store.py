@@ -187,10 +187,6 @@ class LayerStore:
         for name in record.optimizer_state:
             if name not in record.params:
                 raise ValidationError(f"optimizer state {name!r} has no matching parameter")
-        if record.kind == LayerKind.HEAD:
-            width = record.params["w"].shape[1]
-            if record.config.num_classes != width:
-                raise ValidationError(f"head config says {record.config.num_classes} classes, tensor has {width}")
         actual_id = content_id(record.kind, record.config, record.params, record.optimizer_state,
                                record.cloned_from, record.trained_on, record.creator_task)
         if actual_id != record.id:

@@ -7,10 +7,9 @@ from .mutation import SearchSpace
 from .nn.config import ArchConfig, LayerKind
 from .nn.layers import init_params
 from .store import LayerRecord, LayerStore, ModelRecord, SystemState
-from .tasks import TaskSpec
+from .tasks import ROOT_TASK, TaskSpec
 from .util import derive_seed, make_rng
 
-ROOT_TASK = "root"
 ROOT_HEAD_CLASSES = 2  # placeholder width; real tasks always mint a fresh head
 
 

@@ -20,11 +20,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError, ValidationError
-from .nn.config import Batch
 from .store import LayerRecord
 from .util import make_rng
 
 SPLITS = ("train", "validation", "test")
+ROOT_TASK = "root"  # the root model's task: reserved, it has no dataset and no ACL
 
 
 class AccessMode(str, Enum):
@@ -73,9 +73,10 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.images.shape[0])
 
-    def batch(self, indices: np.ndarray) -> Batch:
+    def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(images [B,H,W,C] float32 in [0,1], labels [B] int64) at `indices`."""
         imgs = self.images[indices].astype(np.float32) / np.float32(255.0)
-        return Batch(images=imgs, labels=self.labels[indices].astype(np.int64))
+        return imgs, self.labels[indices].astype(np.int64)
 
 
 @dataclass
@@ -109,7 +110,7 @@ class TaskSpec:
 def acl_allows(consumer: TaskSpec, layer: LayerRecord, registry: Mapping[str, TaskSpec]) -> bool:
     """True iff every task in the layer's training provenance admits the consumer."""
     for owner, _steps in layer.trained_on:
-        if owner == "root":
+        if owner == ROOT_TASK:
             continue
         spec = registry.get(owner)
         if spec is None:

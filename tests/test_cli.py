@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from importlib import resources
 from pathlib import Path
 
@@ -10,12 +11,15 @@ from evograft.mutation import SearchSpace
 from evograft.persistence import MANIFEST, load, manifest_hash
 
 
+ARCH = {"hidden_dim": 32, "num_heads": 2, "mlp_dim": 64, "patch_size": 4,
+        "image_resolution": 32, "channels": 1}
+
+
 def write_config(tmp_path, **overrides):
     cfg = {
         "seed": 77,
         "output_dir": str(tmp_path / "out"),
-        "arch": {"hidden_dim": 32, "num_heads": 2, "mlp_dim": 64, "patch_size": 4,
-                 "image_resolution": 32, "channels": 1},
+        "arch": ARCH,
         "root": {"mode": "from-scratch-stripped"},
         "tasks": [
             {"type": "synthetic_glyphs", "name": "ta", "num_classes": 6,
@@ -32,7 +36,7 @@ def write_config(tmp_path, **overrides):
     tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    return path, Path(cfg["output_dir"])
+    return path, Path(str(cfg["output_dir"]))
 
 
 def _shipped_table():
@@ -163,12 +167,23 @@ EVOLUTION = {"num_generations": 1, "children_per_generation": 2, "train_cycles":
     ("replicas", {"replicas": "two"}),
     ("replicas", {"replicas": 1.5}),
     ("replicas", {"replicas": 0}),
+    ("root", {"root": "x"}),
+    ("root.path", {"root": {"mode": "load-checkpoint", "path": 5}}),
+    ("arch", {"arch": [1]}),
+    ("arch.hidden_dim", {"arch": {"hidden_dim": "x"}}),
+    ("output_dir", {"output_dir": 5}),
+    ("seed", {"seed": True}),
+    # arches whose layers cannot be built; a transformer is built only when an insert is drawn
+    ("arch.num_heads", {"arch": {**ARCH, "num_heads": 0}}),
+    ("arch", {"arch": {**ARCH, "hidden_dim": 33}}),
+    ("arch", {"arch": {**ARCH, "patch_size": 5, "image_resolution": 24}}),
 ])
-def test_init_rejects_bad_counts(tmp_path, capsys, field, overrides):
-    config, out = write_config(tmp_path, **overrides)
+def test_init_rejects_bad_counts(tmp_path, capsys, monkeypatch, field, overrides):
+    monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
+    config, _ = write_config(tmp_path, **overrides)
     assert main(["init", "--config", str(config)]) == 2
-    assert f"{field}:" in capsys.readouterr().err
-    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_search_space_key_drives_init_and_run(tmp_path, capsys):
@@ -340,7 +355,12 @@ def test_replicated_run_writes_sibling_outputs_and_variance(tmp_path, capsys):
     assert summary["variance"] == variance
     assert len(summary["test_accuracy"]["ta"]) == 2
     assert main(["report", "variance", "--checkpoint", str(out)]) == 0
-    assert json.loads(capsys.readouterr().out) == variance
+    report = capsys.readouterr().out
+    assert json.loads(report) == variance
+    # the view scores the replicas alone: the root's own checkpoint may be gone
+    shutil.rmtree(out / "latest")
+    assert main(["report", "variance", "--checkpoint", str(out)]) == 0
+    assert capsys.readouterr().out == report
 
 
 @pytest.mark.parametrize("replicas", [0, -1])

@@ -292,9 +292,10 @@ class TestRawDatasets:
 class TestDataset:
     def test_batch_scales_to_unit_range(self):
         t = small_task()
-        batch = t.splits["train"].batch(np.arange(8))
-        assert batch.images.dtype == np.float32
-        assert 0.0 <= batch.images.min() and batch.images.max() <= 1.0
+        images, labels = t.splits["train"].batch(np.arange(8))
+        assert images.dtype == np.float32
+        assert 0.0 <= images.min() and images.max() <= 1.0
+        assert labels.dtype == np.int64 and labels.shape == (8,)
 
     def test_images_are_read_only(self):
         t = small_task()
