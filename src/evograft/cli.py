@@ -21,7 +21,7 @@ from .mutation import SearchSpace
 from .nn.config import ArchConfig
 from .store import SystemState, garbage_collect, provenance_report
 from .system import build_root_state, register_task
-from .tasks import ROOT_TASK, AccessPolicy, TaskSpec, build_task
+from .tasks import ROOT_TASK, AccessPolicy, TaskSpec, build_task, model_allowed
 from .util import canonical_json, derive_seed, is_count, keep_heap
 
 
@@ -73,12 +73,14 @@ def _parse_experiment(cfg: dict):
     _expect(isinstance(tasks, list), "tasks", "must be a list")
     for i, t in enumerate(tasks):
         _expect(isinstance(t, dict) and "type" in t, f"tasks[{i}]", "must be an object with a type")
+        _expect(isinstance(t.get("name", ""), str), f"tasks[{i}].name", "must be a string")
 
     schedule = cfg.get("schedule", [])
     _expect(isinstance(schedule, list) and schedule, "schedule", "must be a non-empty list")
     task_names = {t.get("name") for t in tasks}
     for i, entry in enumerate(schedule):
         _expect(isinstance(entry, dict) and "task" in entry, f"schedule[{i}]", "needs a task")
+        _expect(isinstance(entry["task"], str), f"schedule[{i}].task", "must be a task name")
         _expect(is_count(entry.get("iterations", 1)), f"schedule[{i}].iterations",
                 "must be an integer >= 1")
         if root["mode"] != "load-checkpoint":
@@ -122,6 +124,23 @@ def _search_space(cfg: dict) -> SearchSpace:
         raise ConfigError(f"search_space: {exc}") from exc
 
 
+def _check_retained(state: SystemState, space: SearchSpace) -> None:
+    """Every retained model must stay usable by `run`: its genome inside the search
+    space, and each layer on its path admitted by the ACLs of the tasks that trained it."""
+    for task, model in sorted(state.retained_models.items()):
+        try:
+            space.validate_genome(model.genome)
+        except ValidationError as exc:
+            raise ConfigError(f"search_space: the retained model of task {task!r} has {exc}") from exc
+        # the root is never a registered task, and root-trained layers admit every task
+        spec = state.tasks.get(task)
+        if spec is not None and not model_allowed(spec, model.path, state.store, state.tasks):
+            owners = sorted({owner for lid in model.path for owner, _ in state.store.get(lid).trained_on
+                             if owner != ROOT_TASK and not state.tasks[owner].acl.admits(owner, task)})
+            raise ConfigError(f"tasks: the retained model of task {task!r} holds layers trained on "
+                              f"{owners}, whose ACL no longer admits {task!r}")
+
+
 def cmd_init(args) -> int:
     cfg = _load_config(args.config)
     arch, root, tasks, schedule, _, _ = _parse_experiment(cfg)
@@ -138,6 +157,7 @@ def cmd_init(args) -> int:
     for i, entry in enumerate(schedule):
         _expect(entry["task"] in state.tasks, f"schedule[{i}].task",
                 f"unknown task {entry['task']!r}")
+    _check_retained(state, space)
     out = Path(cfg["output_dir"]) / "latest"
     persistence.save(state, out)
     print(json.dumps({"checkpoint": str(out), "tasks": sorted(state.tasks),

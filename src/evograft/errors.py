@@ -3,7 +3,7 @@
 The CLI maps these onto its exit-code contract:
     ConfigError -> 2;
     DataError, ValidationError, AclError -> 3;
-    CorruptionError, InvariantError, StructuralError -> 4.
+    InvariantError, StructuralError -> 4.
 """
 
 
@@ -21,10 +21,6 @@ class DataError(EvograftError):
 
 class ValidationError(EvograftError):
     """A value violates a domain contract (non-finite params, bad shapes, bad labels)."""
-
-
-class CorruptionError(EvograftError):
-    """Content-addressed storage inconsistency: same id, different bytes."""
 
 
 class InvariantError(EvograftError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -272,8 +272,8 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
         members = sorted((m for m in state.retained_models.values() if m.task == task_name),
                          key=lambda m: m.created_seq)
         state.pending = PendingIteration(task=task_name, generation_done=0,
-                                         econfig=asdict(cfg), active_models=members)
-    elif state.pending.task != task_name or EvolutionConfig.from_dict(state.pending.econfig) != cfg:
+                                         econfig=cfg, active_models=members)
+    elif state.pending.task != task_name or state.pending.econfig != cfg:
         raise ConfigError("a different iteration is pending; resume it with its own task and config")
     active = state.pending.active_models
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError
+from .evolution import EvolutionConfig
 from .mutation import Genome
 from .nn.config import ArchConfig, LayerConfig, LayerKind
 from .nn.layers import param_shapes
@@ -109,7 +111,7 @@ def save(state: SystemState, directory) -> dict:
         "pending": None if state.pending is None else {
             "task": state.pending.task,
             "generation_done": state.pending.generation_done,
-            "econfig": state.pending.econfig,
+            "econfig": asdict(state.pending.econfig),
             "active_models": [_model_dict(m) for m in state.pending.active_models],
         },
     }
@@ -142,8 +144,9 @@ def _read_blob(path: Path, entry: dict, layer_id: str) -> tuple[dict, dict]:
         end = offset + 4 * n
         if end > len(blob):
             raise DataError(f"truncated blob for layer {layer_id}")
+        # read-only views of the blob; the record built from them makes the one copy
         tensors.append((name, np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
-                        .reshape([int(s) for s in shape]).copy()))
+                        .reshape([int(s) for s in shape])))
         offset = end
     if offset != len(blob):
         raise DataError(f"trailing bytes in blob for layer {layer_id}")
@@ -206,7 +209,7 @@ def load(directory) -> SystemState:
         if manifest.get("pending"):
             p = manifest["pending"]
             pending = PendingIteration(task=p["task"], generation_done=int(p["generation_done"]),
-                                       econfig=dict(p["econfig"]),
+                                       econfig=EvolutionConfig.from_dict(p["econfig"]),
                                        active_models=[_model_from_dict(m) for m in p["active_models"]])
         retained = {t: _model_from_dict(m) for t, m in manifest["retained_models"].items()}
         if pending is not None:

@@ -1,26 +1,26 @@
 """Immutable, content-addressed store of trained layers plus the whole-system state.
 
-A layer is frozen the moment it is inserted: its id is a hash of parameters,
-optimizer state and lineage metadata, the arrays are read-only, and the store
-exposes no write path. Models are paths of layer ids; only the best model per
-task is retained, and layers that no retained model reaches are collected.
+A layer is frozen the moment its record is built: its id is a hash of
+parameters, optimizer state and lineage metadata, the arrays are read-only, and
+the store exposes no write path. Models are paths of layer ids; only the best
+model per task is retained, and layers that no retained model reaches are collected.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .errors import CorruptionError, InvariantError, ValidationError
+from .errors import InvariantError, ValidationError
 from .nn.config import ArchConfig, LayerConfig, LayerKind
 from .nn.layers import param_shapes
 from .util import canonical_json, freeze_array
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .evolution import EvolutionConfig
     from .mutation import Genome
     from .tasks import TaskSpec
 
@@ -59,47 +59,53 @@ def content_id(kind: LayerKind, config: LayerConfig, params: Mapping[str, np.nda
 
 @dataclass(frozen=True)
 class LayerRecord:
-    """A frozen block of trained parameters with lineage and provenance."""
+    """A frozen block of trained parameters with lineage and provenance.
 
-    id: str
+    Valid by construction: building one copies the arrays to read-only float32,
+    checks them against the config, and sets `id` to their content hash, which
+    no caller can supply. So a record that exists is one the store may hold.
+    """
+
+    id: str = field(init=False)
     kind: LayerKind
     config: LayerConfig
     params: Mapping[str, np.ndarray]
-    optimizer_state: Mapping[str, np.ndarray]
+    optimizer_state: Mapping[str, np.ndarray] | None
     cloned_from: str | None
     trained_on: TrainedOn
     creator_task: str
+
+    def __post_init__(self):
+        params = {k: freeze_array(v) for k, v in self.params.items()}
+        opt = {k: freeze_array(v) for k, v in (self.optimizer_state or {}).items()}
+        hist = tuple((str(t), int(s)) for t, s in self.trained_on)
+        expected = param_shapes(self.config)
+        got = {k: tuple(v.shape) for k, v in params.items()}
+        if got != expected:
+            raise ValidationError(f"{self.kind.value} parameter shapes {got} do not match expected {expected}")
+        for name, arr in [*params.items(), *opt.items()]:
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"non-finite values in tensor {name!r} of {self.kind.value}")
+        for name in opt:
+            if name not in params:
+                raise ValidationError(f"optimizer state {name!r} has no matching parameter")
+        lid = content_id(self.kind, self.config, params, opt, self.cloned_from, hist, self.creator_task)
+        for name, value in (("params", params), ("optimizer_state", opt), ("trained_on", hist), ("id", lid)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def create(cls, kind: LayerKind, config: LayerConfig, params: Mapping[str, np.ndarray],
                optimizer_state: Mapping[str, np.ndarray] | None, cloned_from: str | None,
                trained_on: Iterable[tuple[str, int]], creator_task: str) -> "LayerRecord":
-        """Freeze arrays to read-only float32 and compute the content id."""
-        frozen_params = {k: freeze_array(v) for k, v in params.items()}
-        frozen_opt = {k: freeze_array(v) for k, v in (optimizer_state or {}).items()}
-        hist = tuple((str(t), int(s)) for t, s in trained_on)
-        lid = content_id(kind, config, frozen_params, frozen_opt, cloned_from, hist, creator_task)
-        return cls(id=lid, kind=kind, config=config, params=frozen_params,
-                   optimizer_state=frozen_opt, cloned_from=cloned_from,
-                   trained_on=hist, creator_task=creator_task)
+        """Keyword constructor; the class itself freezes, checks and hashes."""
+        return cls(kind=kind, config=config, params=params, optimizer_state=optimizer_state,
+                   cloned_from=cloned_from, trained_on=trained_on, creator_task=creator_task)
 
     def param_count(self) -> int:
         return int(sum(a.size for a in self.params.values()))
 
     def last_trained_by(self) -> str:
         return self.trained_on[-1][0] if self.trained_on else self.creator_task
-
-    def bit_equal(self, other: "LayerRecord") -> bool:
-        if (self.kind, self.cloned_from, self.trained_on, self.creator_task) != \
-           (other.kind, other.cloned_from, other.trained_on, other.creator_task):
-            return False
-        for mine, theirs in ((self.params, other.params), (self.optimizer_state, other.optimizer_state)):
-            if mine.keys() != theirs.keys():
-                return False
-            for k in mine:
-                if mine[k].shape != theirs[k].shape or mine[k].tobytes() != theirs[k].tobytes():
-                    return False
-        return True
 
 
 @dataclass
@@ -135,11 +141,11 @@ class ModelRecord:
 
 
 class LayerStore:
-    """Reference store: concurrent readers, serialized inserts, publish-after-freeze."""
+    """Map from layer id to record, changed only by the calling thread (worker
+    threads only read). Records are valid by construction, so inserting checks nothing."""
 
     def __init__(self):
         self._records: dict[str, LayerRecord] = {}
-        self._lock = threading.Lock()
 
     def __contains__(self, layer_id: str) -> bool:
         return layer_id in self._records
@@ -157,40 +163,12 @@ class LayerStore:
             raise InvariantError(f"layer {layer_id} not in store") from None
 
     def insert(self, record: LayerRecord) -> str:
-        """Insert a frozen record; returns its id. Re-inserting identical content is a no-op."""
-        self._validate(record)
-        with self._lock:
-            existing = self._records.get(record.id)
-            if existing is not None:
-                if not existing.bit_equal(record):
-                    raise CorruptionError(f"layer id {record.id} already present with different contents")
-                return record.id
-            self._records[record.id] = record
+        """Insert a record; returns its id. Equal ids mean equal content, so re-inserting is a no-op."""
+        self._records.setdefault(record.id, record)
         return record.id
 
     def remove(self, layer_id: str) -> None:
-        with self._lock:
-            self._records.pop(layer_id, None)
-
-    def _validate(self, record: LayerRecord) -> None:
-        expected = param_shapes(record.config)
-        got = {k: tuple(v.shape) for k, v in record.params.items()}
-        if got != expected:
-            raise ValidationError(
-                f"{record.kind.value} parameter shapes {got} do not match expected {expected}"
-            )
-        for name, arr in list(record.params.items()) + list(record.optimizer_state.items()):
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"non-finite values in tensor {name!r} of {record.kind.value}")
-            if arr.dtype != np.float32:
-                raise ValidationError(f"store holds float32 only, got {arr.dtype} for {name!r}")
-        for name in record.optimizer_state:
-            if name not in record.params:
-                raise ValidationError(f"optimizer state {name!r} has no matching parameter")
-        actual_id = content_id(record.kind, record.config, record.params, record.optimizer_state,
-                               record.cloned_from, record.trained_on, record.creator_task)
-        if actual_id != record.id:
-            raise CorruptionError(f"record id {record.id} does not match content hash {actual_id}")
+        self._records.pop(layer_id, None)
 
 
 @dataclass
@@ -199,7 +177,7 @@ class PendingIteration:
 
     task: str
     generation_done: int
-    econfig: dict
+    econfig: "EvolutionConfig"
     active_models: list[ModelRecord] = field(default_factory=list)
 
 

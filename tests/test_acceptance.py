@@ -134,7 +134,13 @@ def test_criterion_02_forgetting_immunity(experiment):
     shared = set(model.path) & set(final.store.ids())
     for lid in shared:
         a, b = snapshot.store.get(lid), final.store.get(lid)
-        assert a.bit_equal(b)
+        assert (a.kind, a.cloned_from, a.trained_on, a.creator_task) == \
+               (b.kind, b.cloned_from, b.trained_on, b.creator_task)
+        assert a.params.keys() == b.params.keys() and a.optimizer_state.keys() == b.optimizer_state.keys()
+        for mine, theirs in ((a.params, b.params), (a.optimizer_state, b.optimizer_state)):
+            for name in mine:
+                assert mine[name].shape == theirs[name].shape
+                assert mine[name].tobytes() == theirs[name].tobytes(), (lid, name)
     print(f"PASS criterion 2: forgetting immunity, re-evaluated {re_evaluated} == recorded "
           f"{recorded} ({len(shared)} shared layers bit-identical)")
 

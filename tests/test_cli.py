@@ -15,17 +15,19 @@ ARCH = {"hidden_dim": 32, "num_heads": 2, "mlp_dim": 64, "patch_size": 4,
         "image_resolution": 32, "channels": 1}
 
 
+def glyph_task(name, seed=5, acl="public"):
+    return {"type": "synthetic_glyphs", "name": name, "num_classes": 6,
+            "samples_per_class": 15, "noise": 0.0, "seed": seed,
+            "resolution": 32, "patch_size": 4, "acl": {"mode": acl}}
+
+
 def write_config(tmp_path, **overrides):
     cfg = {
         "seed": 77,
         "output_dir": str(tmp_path / "out"),
         "arch": ARCH,
         "root": {"mode": "from-scratch-stripped"},
-        "tasks": [
-            {"type": "synthetic_glyphs", "name": "ta", "num_classes": 6,
-             "samples_per_class": 15, "noise": 0.0, "seed": 5,
-             "resolution": 32, "patch_size": 4, "acl": {"mode": "public"}},
-        ],
+        "tasks": [glyph_task("ta")],
         "schedule": [{"task": "ta", "iterations": 1}],
         "evolution": {"num_generations": 1, "children_per_generation": 2,
                       "train_cycles": 2, "samples_cap": 48, "batch_size": 16,
@@ -177,6 +179,9 @@ EVOLUTION = {"num_generations": 1, "children_per_generation": 2, "train_cycles":
     ("arch.num_heads", {"arch": {**ARCH, "num_heads": 0}}),
     ("arch", {"arch": {**ARCH, "hidden_dim": 33}}),
     ("arch", {"arch": {**ARCH, "patch_size": 5, "image_resolution": 24}}),
+    # names that are not strings
+    ("schedule[0].task", {"schedule": [{"task": ["ta"]}]}),
+    ("tasks[0].name", {"tasks": [glyph_task(5)], "schedule": [{"task": 5}]}),
 ])
 def test_init_rejects_bad_counts(tmp_path, capsys, monkeypatch, field, overrides):
     monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
@@ -299,6 +304,65 @@ def test_config_arch_must_match_a_loaded_root(tmp_path, capsys):
     # without the key the loaded arch stands
     config, _ = _load_root_config(tmp_path / "cont", out / "latest", output_dir=str(out), arch=None)
     assert main(["init", "--config", str(config)]) == 0
+
+
+def test_init_rejects_a_loaded_genome_outside_the_search_space(tmp_path, capsys):
+    config, out = write_config(tmp_path / "src")
+    assert main(["init", "--config", str(config)]) == 0
+    before = manifest_hash(out / "latest")
+    root_mu = load(out / "latest").retained_models["root"].genome.mu
+    table = _shipped_table()
+    table["mu"] = {"values": [v for v in table["mu"]["values"] if v != root_mu]}
+    table["mu"]["default"] = table["mu"]["values"][0]
+    (tmp_path / "space.json").write_text(json.dumps(table))
+    # re-initialize the same output root from its own checkpoint under the narrower space
+    config, _ = _load_root_config(tmp_path / "cont", out / "latest", output_dir=str(out),
+                                  search_space=str(tmp_path / "space.json"))
+    capsys.readouterr()
+    assert main(["init", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: search_space: ") and "'root'" in err and "mu=" in err
+    assert os.listdir(out) == ["latest"] and manifest_hash(out / "latest") == before
+
+
+def _run_two_tasks(tmp_path, ta_acl):
+    """`run` on ta then tb; with seed 80 tb's retained path holds a layer trained on ta
+    when ta's ACL admits tb."""
+    config, out = write_config(tmp_path, seed=80, schedule=[{"task": "ta"}, {"task": "tb"}],
+                               tasks=[glyph_task("ta", acl=ta_acl), glyph_task("tb", seed=6)])
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    state = load(out / "latest")
+    owners = {t for lid in state.retained_models["tb"].path for t, _ in state.store.get(lid).trained_on}
+    return out, owners
+
+
+def test_init_rejects_an_acl_that_a_retained_model_breaks(tmp_path, capsys):
+    out, owners = _run_two_tasks(tmp_path / "src", "public")
+    assert "ta" in owners
+    before = manifest_hash(out / "latest")
+    capsys.readouterr()
+    config, _ = _load_root_config(tmp_path / "cont", out / "latest", output_dir=str(out),
+                                  tasks=[glyph_task("ta", acl="private")], schedule=[{"task": "tb"}])
+    assert main(["init", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tasks: ") and "'tb'" in err and "['ta']" in err
+    assert manifest_hash(out / "latest") == before
+    # the same root under a new output directory: `latest` is never written
+    config, cont = _load_root_config(tmp_path / "new", out / "latest",
+                                     tasks=[glyph_task("ta", acl="private")], schedule=[{"task": "tb"}])
+    assert main(["init", "--config", str(config)]) == 2
+    assert not cont.exists()
+
+
+def test_init_accepts_a_loosened_acl(tmp_path, capsys):
+    out, owners = _run_two_tasks(tmp_path / "src", "private")
+    assert "ta" not in owners
+    config, cont = _load_root_config(tmp_path / "cont", out / "latest",
+                                     tasks=[glyph_task("ta")], schedule=[{"task": "tb"}])
+    assert main(["init", "--config", str(config)]) == 0
+    assert load(cont / "latest").tasks["ta"].acl.mode.value == "public"
+    assert main(["run", "--config", str(config)]) == 0
 
 
 @pytest.mark.parametrize("kind, fmt", [("params", "dot"), ("graph", "csv"), ("provenance", "csv"),

@@ -296,15 +296,15 @@ class TestResumeEquivalence:
                                                  visits=2, kill_after=0)
         assert straight == resumed
 
-    # The legacy field stays in the pending config of the later barriers, so only
-    # the final manifests, which hold no pending iteration, compare equal.
+    # A load drops the legacy field from the pending config, so every later barrier
+    # and the final manifest compare equal.
     def test_barrier_checkpoint_with_legacy_workers_field_resumes(self, tmp_path):
         # Older checkpoints persisted the worker count inside the pending config.
         def add_workers(manifest):
             manifest["pending"]["econfig"]["workers"] = 2
 
         straight, resumed = interrupt_and_resume(tmp_path, add_workers, workers=2)
-        assert straight[-1] == resumed[-1]
+        assert straight == resumed
 
     def test_barrier_checkpoint_with_legacy_replica_seed_field_resumes(self, tmp_path):
         # Older checkpoints persisted an unset per-replica seed inside the pending config.
@@ -312,7 +312,7 @@ class TestResumeEquivalence:
             manifest["pending"]["econfig"]["replica_seed"] = None
 
         straight, resumed = interrupt_and_resume(tmp_path, add_replica_seed)
-        assert straight[-1] == resumed[-1]
+        assert straight == resumed
 
     def test_identical_reruns_share_manifest_hash(self, tmp_path):
         for name in ("x", "y"):

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from evograft.errors import CorruptionError, InvariantError, ValidationError
+from evograft import store as store_module
+from evograft.errors import InvariantError, ValidationError
 from evograft.mutation import Genome
 from evograft.nn.config import ArchConfig, LayerKind
 from evograft.nn.layers import init_params
@@ -42,13 +43,29 @@ class TestContentAddressing:
         assert a.id != b.id
 
     def test_forged_id_is_corruption(self, arch):
+        # The id is computed from the content, never supplied, so a forged record cannot exist.
         record = make_record(LayerKind.TRANSFORMER, arch, seed=3)
         other = make_record(LayerKind.TRANSFORMER, arch, seed=4)
-        forged = dataclasses.replace(other, id=record.id)
+        with pytest.raises(ValueError):
+            dataclasses.replace(other, id=record.id)
+        with pytest.raises(TypeError):
+            LayerRecord(id=record.id, kind=other.kind, config=other.config, params=other.params,
+                        optimizer_state=None, cloned_from=None, trained_on=(), creator_task="root")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            other.id = record.id
+        # replace() recomputes the id from the new content
+        assert dataclasses.replace(other, creator_task="t2").id != other.id
+
+    def test_building_a_record_hashes_it_once_and_insert_never(self, arch, monkeypatch):
+        calls = []
+        real = store_module.content_id
+        monkeypatch.setattr(store_module, "content_id", lambda *a: calls.append(1) or real(*a))
+        record = make_record(LayerKind.TRANSFORMER, arch, seed=3)
+        assert len(calls) == 1
         store = LayerStore()
         store.insert(record)
-        with pytest.raises(CorruptionError):
-            store.insert(forged)
+        store.insert(make_record(LayerKind.TRANSFORMER, arch, seed=3))
+        assert len(calls) == 2 and len(store) == 1
 
 
 class TestImmutability:
@@ -75,11 +92,10 @@ class TestValidation:
         cfg = arch.layer_config(LayerKind.HEAD, num_classes=4)
         params = init_params(cfg, np.random.default_rng(0))
         params["w"][0, 0] = np.nan
-        record = LayerRecord.create(kind=LayerKind.HEAD, config=cfg, params=params,
-                                    optimizer_state=None, cloned_from=None, trained_on=(),
-                                    creator_task="t")
         with pytest.raises(ValidationError):
-            LayerStore().insert(record)
+            LayerRecord.create(kind=LayerKind.HEAD, config=cfg, params=params,
+                               optimizer_state=None, cloned_from=None, trained_on=(),
+                               creator_task="t")
 
     def test_head_width_must_match_task_classes(self, arch):
         # A model of a 3-class task whose head has 10 outputs is rejected.
@@ -99,12 +115,10 @@ class TestValidation:
         cfg = arch.layer_config(LayerKind.HEAD, num_classes=4)
         params = init_params(cfg, np.random.default_rng(0))
         params["w"] = np.zeros((arch.hidden_dim, 7), np.float32)
-        record = LayerRecord.create(kind=LayerKind.HEAD,
-                                    config=dataclasses.replace(cfg),
-                                    params=params, optimizer_state=None, cloned_from=None,
-                                    trained_on=(), creator_task="t")
         with pytest.raises(ValidationError):
-            LayerStore().insert(record)
+            LayerRecord.create(kind=LayerKind.HEAD, config=dataclasses.replace(cfg),
+                               params=params, optimizer_state=None, cloned_from=None,
+                               trained_on=(), creator_task="t")
 
 
 def build_state(arch, records, retained):
