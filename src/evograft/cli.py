@@ -189,6 +189,10 @@ def cmd_run(args) -> int:
     samples_per_class: dict[str, int] = {}
     for r in range(replicas):
         rep = persistence.load(latest)
+        # build the data of every task this run trains or scores before any child
+        # trains, so a changed dataset stops the run before it writes anything
+        for t in sorted((set(iterations) | set(rep.retained_models)) & set(rep.tasks)):
+            rep.tasks[t].splits
         base = out_root
         if replicas > 1:
             rep.rng_seed = derive_seed(rep.rng_seed, "replica", r)

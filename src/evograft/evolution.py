@@ -266,6 +266,7 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
     if task_name not in state.tasks:
         raise ConfigError(f"task {task_name!r} is not registered")
     task = state.tasks[task_name]
+    task.splits  # builds a loaded task's data here, on the calling thread, before any child trains
     insert_cfg = state.arch.layer_config(LayerKind.TRANSFORMER)
 
     if state.pending is None:

@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvariantError
+from .errors import DataError, InvariantError
 from .evolution import EvolutionConfig
 from .mutation import Genome
 from .nn.config import ArchConfig, LayerConfig, LayerKind
 from .nn.layers import param_shapes
 from .store import LayerRecord, LayerStore, ModelRecord, PendingIteration, SystemState
-from .tasks import AccessPolicy, TaskSpec, build_task
+from .tasks import AccessPolicy, TaskSpec
 from .util import canonical_json, sha256_hex
 
 MAGIC = b"MU2L"
@@ -157,7 +157,16 @@ def _read_blob(path: Path, entry: dict, layer_id: str) -> tuple[dict, dict]:
 
 
 def load(directory) -> SystemState:
-    """Load and fully re-validate a checkpoint (store invariants re-checked)."""
+    """Load a checkpoint and re-validate its layers, models and references.
+
+    Tasks come back with their data deferred (see `TaskSpec`): this checks only
+    what needs no image, namely each task entry's keys, ACL and recipe type and
+    fields, and that a synthetic recipe names the task and implies its class
+    count and input shape. Rendering, raw-file reads and the raw checksum wait
+    for the first read of a task's `splits`, which `run` makes for every task it
+    trains or scores and `eval` for its one task; `gc` and `report params|graph|
+    provenance` make none.
+    """
     directory = Path(directory)
     manifest_path = directory / MANIFEST
     if not manifest_path.exists():
@@ -178,13 +187,11 @@ def load(directory) -> SystemState:
     tasks: dict[str, TaskSpec] = {}
     for name, td in manifest.get("tasks", {}).items():
         try:
-            spec = build_task(td["recipe"], AccessPolicy.from_dict(td["acl"]))
-            if spec.name != name:
-                raise DataError(f"malformed manifest entry for task {name}: its recipe names {spec.name!r}")
-            if spec.num_classes != td["num_classes"] or list(spec.input_shape) != list(td["input"]):
-                raise DataError(f"rebuilt task {name!r} does not match its manifest entry")
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            spec = TaskSpec(name=name, num_classes=td["num_classes"], input_shape=tuple(td["input"]),
+                            acl=AccessPolicy.from_dict(td["acl"]), splits=None, recipe=td["recipe"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed manifest entry for task {name}: {exc!r}") from exc
+        spec.check_recipe()
         tasks[name] = spec
 
     store = LayerStore()

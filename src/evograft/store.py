@@ -192,7 +192,9 @@ class SystemState:
     rng_seed: int
     generation_counter: int = 0
     model_seq: int = 0
-    history_offset: int = 0  # children reported so far, aligns report streams with checkpoints
+    # children trained by every iteration of this state's lineage, including those run
+    # before a load-checkpoint root was copied: not the row count of one root's children.jsonl
+    history_offset: int = 0
     pending: PendingIteration | None = None
 
     def next_model_seq(self) -> int:

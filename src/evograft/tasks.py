@@ -79,16 +79,61 @@ class Dataset:
         return imgs, self.labels[indices].astype(np.int64)
 
 
-@dataclass
 class TaskSpec:
-    """One classification task: splits, geometry, access policy, and its build recipe."""
+    """One classification task: geometry, access policy, build recipe and data.
 
-    name: str
-    num_classes: int
-    input_shape: tuple[int, int, int]
-    acl: AccessPolicy
-    splits: dict[str, Dataset]
-    recipe: dict
+    `splits=None` defers the data, as `persistence.load` does: the first read of
+    `splits` rebuilds the task from its recipe through `build_task` (which
+    validates it), checks that the rebuilt task matches this one's name, class
+    count and input shape, and keeps its splits. Any failure is a DataError, and
+    the data stays unbuilt. The first read must come from one thread only.
+    """
+
+    def __init__(self, name: str, num_classes: int, input_shape: tuple[int, int, int],
+                 acl: AccessPolicy, splits: dict[str, Dataset] | None, recipe: dict):
+        self.name = name
+        self.num_classes = num_classes
+        self.input_shape = input_shape
+        self.acl = acl
+        self.recipe = recipe
+        self._splits = splits
+
+    @property
+    def splits(self) -> dict[str, Dataset]:
+        if self._splits is None:
+            try:
+                built = build_task(self.recipe, self.acl)
+            except (KeyError, TypeError, ValueError, ConfigError) as exc:
+                raise self._entry_error(repr(exc)) from exc
+            self._check_matches(built.name, built.num_classes, built.input_shape)
+            self._splits = built.splits
+        return self._splits
+
+    def check_recipe(self) -> None:
+        """The checks of a deferred task that read no data: the recipe's type is known
+        and has every field it needs, and a synthetic recipe names this task and
+        implies its class count and input shape. Raises DataError."""
+        try:
+            kind = self.recipe.get("type")
+            if kind not in RECIPE_FIELDS:
+                raise ConfigError(f"unknown task recipe type {kind!r}")
+            missing = [f for f in RECIPE_FIELDS[kind] if f not in self.recipe]
+            if missing:
+                raise KeyError(missing[0])
+        except (AttributeError, KeyError, ConfigError) as exc:
+            raise self._entry_error(repr(exc)) from exc
+        if kind == "synthetic_glyphs":
+            res = self.recipe["resolution"]
+            self._check_matches(self.recipe["name"], self.recipe["num_classes"], (res, res, 1))
+
+    def _check_matches(self, name, num_classes, input_shape) -> None:
+        if name != self.name:
+            raise self._entry_error(f"its recipe names {name!r}")
+        if num_classes != self.num_classes or list(input_shape) != list(self.input_shape):
+            raise DataError(f"rebuilt task {self.name!r} does not match its manifest entry")
+
+    def _entry_error(self, detail: str) -> DataError:
+        return DataError(f"malformed manifest entry for task {self.name}: {detail}")
 
     def validate(self) -> None:
         if self.num_classes < 2:
@@ -287,6 +332,8 @@ def load_raw_dataset(directory, acl: AccessPolicy | None = None) -> TaskSpec:
     try:
         header = json.loads(header_path.read_text())
         name = header["name"]
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a string, not {name!r}")
         num_classes = int(header["num_classes"])
         h, w, c = (int(x) for x in header["shape"])
         counts = {s: int(header["counts"][s]) for s in SPLITS}
@@ -323,6 +370,14 @@ def load_raw_dataset(directory, acl: AccessPolicy | None = None) -> TaskSpec:
                     recipe={"type": "raw", "path": str(directory)})
     spec.validate()
     return spec
+
+
+# the fields each recipe type needs, in the order build_task reads them
+RECIPE_FIELDS = {
+    "synthetic_glyphs": ("name", "num_classes", "samples_per_class", "noise", "seed",
+                         "resolution", "patch_size"),
+    "raw": ("path",),
+}
 
 
 def build_task(recipe: dict, acl: AccessPolicy) -> TaskSpec:

@@ -1,14 +1,17 @@
 import json
 import os
 import shutil
+import threading
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from evograft import tasks as tasks_module
 from evograft.cli import main
 from evograft.mutation import SearchSpace
 from evograft.persistence import MANIFEST, load, manifest_hash
+from evograft.tasks import make_synthetic_glyph_task, save_raw_dataset
 
 
 ARCH = {"hidden_dim": 32, "num_heads": 2, "mlp_dim": 64, "patch_size": 4,
@@ -465,3 +468,86 @@ def test_checkpoint_directories_hold_only_their_manifests_blobs(tmp_path, capsys
     _blobs_match_manifests(out)
     assert main(["gc", "--checkpoint", str(out)]) == 0
     _blobs_match_manifests(out)
+
+
+def raw_task(tmp_path, name, seed=8):
+    """A raw dataset directory holding a 6-class glyph task; returns its config entry."""
+    t = make_synthetic_glyph_task(name, num_classes=6, samples_per_class=15, noise=0.0, seed=seed)
+    save_raw_dataset(tmp_path / name, name, t.num_classes, t.splits)
+    return {"type": "raw", "name": name, "path": str(tmp_path / name), "acl": {"mode": "public"}}
+
+
+def test_init_rejects_a_raw_header_whose_name_is_not_a_string(tmp_path, capsys):
+    entry = raw_task(tmp_path, "tr")
+    header = Path(entry["path"]) / "header.json"
+    header.write_text(json.dumps({**json.loads(header.read_text()), "name": 5}))
+    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), entry])
+    assert main(["init", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith("error: malformed header: ")
+    assert not (out / "latest").exists()
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Every task build from now on, as (recipe name or path, built on the main thread)."""
+    builds = []
+    original = tasks_module.build_task
+
+    def counting(recipe, acl):
+        builds.append((recipe.get("name", recipe.get("path")),
+                       threading.current_thread() is threading.main_thread()))
+        return original(recipe, acl)
+
+    monkeypatch.setattr(tasks_module, "build_task", counting)
+    return builds
+
+
+def test_commands_build_only_the_task_data_they_read(tmp_path, capsys, counted_builds):
+    noisy = {**glyph_task("tb", seed=6), "noise": 0.1}
+    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), noisy],
+                               schedule=[{"task": "ta"}, {"task": "tb"}])
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    counted_builds.clear()
+
+    before = manifest_hash(out / "latest")
+    assert main(["gc", "--checkpoint", str(out)]) == 0
+    assert manifest_hash(out / "latest") == before
+    for kind in ("params", "graph", "provenance"):
+        assert main(["report", kind, "--checkpoint", str(out)]) == 0
+    assert counted_builds == []
+
+    assert main(["eval", "ta", "--checkpoint", str(out)]) == 0
+    assert counted_builds == [("ta", True)]
+
+    counted_builds.clear()
+    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), noisy], replicas=2,
+                               schedule=[{"task": "ta"}, {"task": "tb"}])
+    assert main(["run", "--config", str(config), "--workers", "2"]) == 0
+    # once per task in each replica's load, all on the calling thread
+    assert sorted(counted_builds) == [("ta", True)] * 2 + [("tb", True)] * 2
+
+
+def test_a_changed_raw_dataset_stops_only_the_commands_that_read_it(tmp_path, capsys):
+    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), raw_task(tmp_path, "tr")],
+                               schedule=[{"task": "ta"}, {"task": "tr"}])
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    test_bin = tmp_path / "tr" / "test.bin"
+    blob = bytearray(test_bin.read_bytes())
+    blob[0] ^= 0xFF
+    test_bin.write_bytes(bytes(blob))
+    rows = (out / "reports" / "children.jsonl").read_text()
+    before = manifest_hash(out / "latest")
+    capsys.readouterr()
+
+    assert main(["gc", "--checkpoint", str(out)]) == 0
+    assert main(["eval", "ta", "--checkpoint", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "tr", "--checkpoint", str(out)]) == 3
+    assert "checksum mismatch" in capsys.readouterr().err
+    # tr is scheduled second, yet run stops before any child of ta trains
+    assert main(["run", "--config", str(config)]) == 3
+    assert "checksum mismatch" in capsys.readouterr().err
+    assert (out / "reports" / "children.jsonl").read_text() == rows
+    assert manifest_hash(out / "latest") == before

@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from evograft.evolution import EvolutionConfig, run_task_iteration, score_model
 from evograft.persistence import MANIFEST, load, manifest_hash, save
 from evograft.accounting import param_report
 from evograft.system import build_root_state, register_task
+from evograft import tasks as tasks_module
 from evograft.tasks import make_synthetic_glyph_task
 
 
@@ -79,6 +81,26 @@ class TestRoundTrip:
         m = loaded.retained_models["ta"]
         assert m.score == state.retained_models["ta"].score
         assert score_model(m, loaded.tasks["ta"], loaded.store) == m.score
+
+    def test_a_loaded_task_builds_its_data_once_on_the_calling_thread(self, tmp_path, monkeypatch):
+        state = built_state(evolved=False)
+        save(state, tmp_path / "ck")
+        loaded = load(tmp_path / "ck")
+        threads = []
+        original = tasks_module.build_task
+
+        def counting(recipe, acl):
+            threads.append(threading.current_thread())
+            return original(recipe, acl)
+
+        monkeypatch.setattr(tasks_module, "build_task", counting)
+        run_task_iteration(loaded, "ta", EvolutionConfig(
+            num_generations=1, children_per_generation=2, train_cycles=1,
+            samples_cap=32, batch_size=16), workers=2)
+        for split, ds in state.tasks["ta"].splits.items():
+            assert loaded.tasks["ta"].splits[split].images.tobytes() == ds.images.tobytes()
+            assert loaded.tasks["ta"].splits[split].labels.tobytes() == ds.labels.tobytes()
+        assert threads == [threading.main_thread()]  # one build, however often splits is read
 
     def test_provenance_invariant_under_round_trip(self, tmp_path):
         from evograft.store import provenance_report
