@@ -77,15 +77,11 @@ def _parse_experiment(cfg: dict):
 
     schedule = cfg.get("schedule", [])
     _expect(isinstance(schedule, list) and schedule, "schedule", "must be a non-empty list")
-    task_names = {t.get("name") for t in tasks}
     for i, entry in enumerate(schedule):
         _expect(isinstance(entry, dict) and "task" in entry, f"schedule[{i}]", "needs a task")
         _expect(isinstance(entry["task"], str), f"schedule[{i}].task", "must be a task name")
         _expect(is_count(entry.get("iterations", 1)), f"schedule[{i}].iterations",
                 "must be an integer >= 1")
-        if root["mode"] != "load-checkpoint":
-            _expect(entry["task"] in task_names, f"schedule[{i}].task",
-                    f"unknown task {entry['task']!r}")
 
     evo = cfg.get("evolution", {})
     for key in ("num_generations", "children_per_generation", "train_cycles", "samples_cap"):
@@ -108,9 +104,19 @@ def _build_task_spec(entry: dict) -> TaskSpec:
     try:
         acl = AccessPolicy.from_dict(entry.get("acl", {"mode": "public"}))
         recipe = {k: v for k, v in entry.items() if k != "acl"}
-        return build_task(recipe, acl)
+        spec = build_task(recipe, acl)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"tasks[{name}]: {exc!r}") from exc
+    # a raw task takes its name from its header; a `name` key may only repeat it
+    _expect(entry.get("name", spec.name) == spec.name, f"tasks[{name}].name",
+            f"differs from the name {spec.name!r} in the dataset header")
+    return spec
+
+
+def _check_schedule(schedule: list, state: SystemState) -> None:
+    for i, entry in enumerate(schedule):
+        _expect(entry["task"] in state.tasks, f"schedule[{i}].task",
+                f"unknown task {entry['task']!r}")
 
 
 def _search_space(cfg: dict) -> SearchSpace:
@@ -154,9 +160,7 @@ def cmd_init(args) -> int:
         state = build_root_state(arch, int(cfg.get("seed", 0)), space=space)
     for entry in tasks:
         register_task(state, _build_task_spec(entry))
-    for i, entry in enumerate(schedule):
-        _expect(entry["task"] in state.tasks, f"schedule[{i}].task",
-                f"unknown task {entry['task']!r}")
+    _check_schedule(schedule, state)
     _check_retained(state, space)
     out = Path(cfg["output_dir"]) / "latest"
     persistence.save(state, out)
@@ -189,6 +193,7 @@ def cmd_run(args) -> int:
     samples_per_class: dict[str, int] = {}
     for r in range(replicas):
         rep = persistence.load(latest)
+        _check_schedule(schedule, rep)
         # build the data of every task this run trains or scores before any child
         # trains, so a changed dataset stops the run before it writes anything
         for t in sorted((set(iterations) | set(rep.retained_models)) & set(rep.tasks)):
@@ -276,7 +281,11 @@ def cmd_gc(args) -> int:
     target = _resolve_checkpoint(args.checkpoint)
     state = persistence.load(target)
     removed = garbage_collect(state)
-    persistence.save(state, target)
+    if removed:
+        persistence.save(state, target)
+    else:
+        # the load checked every listed blob against its hash: the files already hold this state
+        persistence.sweep(target, state.store.ids())
     print(canonical_json({"removed_layers": removed, "remaining": len(state.store)}))
     return 0
 

@@ -11,6 +11,7 @@ manifest index; every blob's sha256 is recorded and re-verified on load.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict
@@ -82,10 +83,22 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def sweep(directory, layer_ids) -> None:
+    """Delete each `*.bin` in a checkpoint directory that is not the blob of one of
+    `layer_ids`, and each `*.tmp` that an interrupted `_atomic_write` left."""
+    directory = Path(directory)
+    listed = {f"{lid}.bin" for lid in layer_ids}
+    for path in directory.glob("*.bin"):
+        if path.name not in listed:
+            path.unlink()
+    for path in directory.glob("*.tmp"):
+        path.unlink()
+
+
 def save(state: SystemState, directory) -> dict:
     """Write a complete checkpoint; the manifest lands last, so a partial write
-    never yields a loadable directory. Then delete every blob in the directory
-    that the manifest does not list. Returns the manifest as a dict."""
+    never yields a loadable directory. Then `sweep` the directory down to the
+    manifest's blobs. Returns the manifest as a dict."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     layers = {}
@@ -116,10 +129,7 @@ def save(state: SystemState, directory) -> dict:
         },
     }
     _atomic_write(directory / MANIFEST, canonical_json(manifest).encode())
-    listed = {entry["file"] for entry in layers.values()}
-    for blob in directory.glob("*.bin"):
-        if blob.name not in listed:
-            blob.unlink()
+    sweep(directory, layers)
     return manifest
 
 
@@ -140,7 +150,7 @@ def _read_blob(path: Path, entry: dict, layer_id: str) -> tuple[dict, dict]:
     offset = 16
     tensors = []
     for name, shape in specs:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         end = offset + 4 * n
         if end > len(blob):
             raise DataError(f"truncated blob for layer {layer_id}")
@@ -197,6 +207,9 @@ def load(directory) -> SystemState:
     store = LayerStore()
     for lid, entry in manifest.get("layers", {}).items():
         try:
+            if entry["file"] != f"{lid}.bin":
+                # `sweep` keeps a layer's blob by its id, so a blob must be named after its layer
+                raise ValueError(f"blob file {entry['file']!r} is not {lid}.bin")
             params, opt = _read_blob(directory / entry["file"], entry, lid)
             record = LayerRecord.create(
                 kind=LayerKind(entry["kind"]),

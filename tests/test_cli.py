@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_record
 from evograft import tasks as tasks_module
 from evograft.cli import main
 from evograft.mutation import SearchSpace
-from evograft.persistence import MANIFEST, load, manifest_hash
+from evograft.nn.config import LayerKind
+from evograft.persistence import MANIFEST, load, manifest_hash, save
 from evograft.tasks import make_synthetic_glyph_task, save_raw_dataset
 
 
@@ -447,6 +449,7 @@ def _blobs_match_manifests(root):
     for manifest in root.rglob(MANIFEST):
         listed = {entry["file"] for entry in json.loads(manifest.read_text())["layers"].values()}
         assert {blob.name for blob in manifest.parent.glob("*.bin")} == listed, manifest.parent
+        assert not list(manifest.parent.glob("*.tmp")), manifest.parent
 
 
 def test_checkpoint_directories_hold_only_their_manifests_blobs(tmp_path, capsys):
@@ -470,6 +473,40 @@ def test_checkpoint_directories_hold_only_their_manifests_blobs(tmp_path, capsys
     _blobs_match_manifests(out)
 
 
+def test_gc_removes_an_unreachable_layer_and_a_no_op_gc_writes_nothing(tmp_path, capsys):
+    config, out = write_config(tmp_path)
+    assert main(["init", "--config", str(config)]) == 0
+    latest = out / "latest"
+    state = load(latest)
+    stray = make_record(LayerKind.TRANSFORMER, state.arch, seed=3, creator="ta")
+    state.store.insert(stray)
+    save(state, latest)
+    capsys.readouterr()
+
+    assert main(["gc", "--checkpoint", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["removed_layers"] == 1
+    assert stray.id not in json.loads((latest / MANIFEST).read_text())["layers"]
+    assert not (latest / f"{stray.id}.bin").exists()
+    collected = manifest_hash(latest)
+    save(load(latest), tmp_path / "resaved")
+    assert manifest_hash(tmp_path / "resaved") == collected
+
+    def files():
+        return {f.name: (f.stat().st_ino, f.stat().st_mtime_ns, f.read_bytes()) for f in latest.iterdir()}
+
+    before = files()
+    assert main(["gc", "--checkpoint", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["removed_layers"] == 0
+    assert files() == before
+
+    # a stale blob and an interrupted write's leftover: a no-op gc deletes both
+    (latest / "x.bin").write_bytes(b"stale")
+    (latest / "y.bin.tmp").write_bytes(b"partial")
+    assert main(["gc", "--checkpoint", str(out)]) == 0
+    assert files() == before
+    assert manifest_hash(latest) == collected
+
+
 def raw_task(tmp_path, name, seed=8):
     """A raw dataset directory holding a 6-class glyph task; returns its config entry."""
     t = make_synthetic_glyph_task(name, num_classes=6, samples_per_class=15, noise=0.0, seed=seed)
@@ -485,6 +522,37 @@ def test_init_rejects_a_raw_header_whose_name_is_not_a_string(tmp_path, capsys):
     assert main(["init", "--config", str(config)]) == 3
     assert capsys.readouterr().err.startswith("error: malformed header: ")
     assert not (out / "latest").exists()
+
+
+def test_a_raw_task_is_scheduled_by_its_header_name(tmp_path, capsys):
+    entry = raw_task(tmp_path, "tr")
+    del entry["name"]
+    config, out = write_config(tmp_path, tasks=[entry], schedule=[{"task": "tr"}])
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    assert "tr" in load(out / "latest").retained_models
+
+
+def test_init_rejects_a_raw_entry_named_unlike_its_header(tmp_path, capsys):
+    entry = {**raw_task(tmp_path, "tr"), "name": "tx"}
+    config, out = write_config(tmp_path, tasks=[entry], schedule=[{"task": "tx"}])
+    assert main(["init", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: tasks[tx].name: ")
+    assert not (out / "latest").exists()
+
+
+def test_run_rejects_a_task_the_checkpoint_lacks_before_any_child_trains(tmp_path, capsys):
+    config, out = write_config(tmp_path)
+    assert main(["init", "--config", str(config)]) == 0
+    files = {f.name: f.read_bytes() for f in (out / "latest").iterdir()}
+    capsys.readouterr()
+    # tb is listed in the config but was never registered in the checkpoint
+    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), glyph_task("tb", seed=6)],
+                               schedule=[{"task": "ta"}, {"task": "tb"}])
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: schedule[1].task: unknown task 'tb'")
+    assert sorted(p.name for p in out.iterdir()) == ["latest"]
+    assert {f.name: f.read_bytes() for f in (out / "latest").iterdir()} == files
 
 
 @pytest.fixture

@@ -170,8 +170,8 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("field,value", [
         ("kind", "dense_blok"), ("trained_on", None), ("trained_on", 5),
-        ("config", {"kind": "head", "hidden_dim": "wide"}),
-    ], ids=["unknown-kind", "missing-key", "wrong-type", "bad-config"])
+        ("config", {"kind": "head", "hidden_dim": "wide"}), ("file", "other.bin"),
+    ], ids=["unknown-kind", "missing-key", "wrong-type", "bad-config", "foreign-blob-name"])
     def test_malformed_layer_entry_is_a_data_error(self, tmp_path, field, value):
         state = built_state(evolved=False)
         save(state, tmp_path / "ck")
