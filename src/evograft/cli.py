@@ -30,6 +30,11 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
+def _expect_known(fields: dict, allowed, prefix: str = "") -> None:
+    for key in fields:
+        _expect(key in allowed, prefix + key, f"unknown field (expected one of {sorted(allowed)})")
+
+
 def _load_config(path: str) -> dict:
     p = Path(path)
     _expect(p.exists(), "config", f"file {path} does not exist")
@@ -45,8 +50,9 @@ def _parse_arch(cfg: dict) -> ArchConfig:
     fields = cfg.get("arch", {})
     _expect(isinstance(fields, dict), "arch", "must be an object")
     defaults = ArchConfig().to_dict()
+    _expect_known(fields, defaults, "arch.")
     for key, value in fields.items():
-        _expect(key not in defaults or is_count(value), f"arch.{key}", "must be a positive integer")
+        _expect(is_count(value), f"arch.{key}", "must be a positive integer")
     arch = ArchConfig.from_dict({**defaults, **fields})
     try:
         arch.validate()
@@ -56,6 +62,8 @@ def _parse_arch(cfg: dict) -> ArchConfig:
 
 
 def _parse_experiment(cfg: dict):
+    _expect_known(cfg, ("output_dir", "seed", "arch", "root", "tasks", "schedule", "evolution",
+                        "replicas", "search_space"))
     _expect(isinstance(cfg.get("output_dir"), str) and cfg["output_dir"], "output_dir",
             "required, a directory path")
     seed = cfg.get("seed", 0)
@@ -63,6 +71,7 @@ def _parse_experiment(cfg: dict):
     arch = _parse_arch(cfg)
     root = cfg.get("root", {"mode": "from-scratch-stripped"})
     _expect(isinstance(root, dict), "root", "must be an object")
+    _expect_known(root, ("mode", "path"), "root.")
     _expect(root.get("mode") in ("from-scratch-stripped", "load-checkpoint"),
             "root.mode", "must be from-scratch-stripped or load-checkpoint")
     if root["mode"] == "load-checkpoint":
@@ -79,6 +88,7 @@ def _parse_experiment(cfg: dict):
     _expect(isinstance(schedule, list) and schedule, "schedule", "must be a non-empty list")
     for i, entry in enumerate(schedule):
         _expect(isinstance(entry, dict) and "task" in entry, f"schedule[{i}]", "needs a task")
+        _expect_known(entry, ("task", "iterations"), f"schedule[{i}].")
         _expect(isinstance(entry["task"], str), f"schedule[{i}].task", "must be a task name")
         _expect(is_count(entry.get("iterations", 1)), f"schedule[{i}].iterations",
                 "must be an integer >= 1")
@@ -86,9 +96,7 @@ def _parse_experiment(cfg: dict):
     evo = cfg.get("evolution", {})
     for key in ("num_generations", "children_per_generation", "train_cycles", "samples_cap"):
         _expect(key in evo, f"evolution.{key}", "required")
-    allowed = set(EvolutionConfig.__dataclass_fields__)
-    for key in evo:
-        _expect(key in allowed, f"evolution.{key}", f"unknown field (expected one of {sorted(allowed)})")
+    _expect_known(evo, EvolutionConfig.__dataclass_fields__, "evolution.")
     econfig = EvolutionConfig.from_dict(evo)
     try:
         econfig.validate()
@@ -99,16 +107,16 @@ def _parse_experiment(cfg: dict):
     return arch, root, tasks, schedule, econfig, replicas
 
 
-def _build_task_spec(entry: dict) -> TaskSpec:
-    name = entry.get("name", "?")
+def _build_task_spec(index: int, entry: dict) -> TaskSpec:
     try:
         acl = AccessPolicy.from_dict(entry.get("acl", {"mode": "public"}))
         recipe = {k: v for k, v in entry.items() if k != "acl"}
         spec = build_task(recipe, acl)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"tasks[{name}]: {exc!r}") from exc
+        raise ConfigError(f"tasks[{index}]: {exc!r}") from exc
     # a raw task takes its name from its header; a `name` key may only repeat it
-    _expect(entry.get("name", spec.name) == spec.name, f"tasks[{name}].name",
+    name = entry.get("name", spec.name)
+    _expect(name == spec.name, f"tasks[{name}].name",
             f"differs from the name {spec.name!r} in the dataset header")
     return spec
 
@@ -158,8 +166,8 @@ def cmd_init(args) -> int:
         state.rng_seed = int(cfg.get("seed", state.rng_seed))
     else:
         state = build_root_state(arch, int(cfg.get("seed", 0)), space=space)
-    for entry in tasks:
-        register_task(state, _build_task_spec(entry))
+    for i, entry in enumerate(tasks):
+        register_task(state, _build_task_spec(i, entry))
     _check_schedule(schedule, state)
     _check_retained(state, space)
     out = Path(cfg["output_dir"]) / "latest"

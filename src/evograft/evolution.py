@@ -320,7 +320,6 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
                 "diverged": result.diverged,
                 "retained": record is not None,
             })
-            state.history_offset += 1
         state.generation_counter += 1
         state.pending.generation_done = gen + 1
         if on_generation is not None:

@@ -3,9 +3,9 @@
 Layout: `manifest.json` (canonical JSON, written last via temp+rename) plus one
 binary blob per layer named `<id>.bin`. Blob format: a 16-byte header
 {magic "MU2L", version u32 LE, tensor-count u32 LE, reserved u32} followed by
-the tensors as little-endian float32, row-major, in the canonical per-kind
-order (parameters, then optimizer state). Tensor names and shapes live in the
-manifest index; every blob's sha256 is recorded and re-verified on load.
+the tensors as little-endian float32, row-major, in `param_shapes(config)`
+order: every parameter, then the momentum of all of them or of none. A layer's
+manifest entry holds its config, lineage, blob file and sha256 (re-verified on load).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError, InvariantError
 from .evolution import EvolutionConfig
 from .mutation import Genome
-from .nn.config import ArchConfig, LayerConfig, LayerKind
+from .nn.config import ArchConfig, LayerConfig
 from .nn.layers import param_shapes
 from .store import LayerRecord, LayerStore, ModelRecord, PendingIteration, SystemState
 from .tasks import AccessPolicy, TaskSpec
@@ -43,24 +43,19 @@ def _blob_bytes(record: LayerRecord) -> bytes:
 
 
 def _layer_entry(record: LayerRecord, blob: bytes) -> dict:
-    order = param_shapes(record.config)
     return {
         "file": f"{record.id}.bin",
-        "kind": record.kind.value,
         "config": record.config.to_dict(),
         "creator_task": record.creator_task,
         "cloned_from": record.cloned_from,
         "trained_on": [[t, s] for t, s in record.trained_on],
-        "params": [[n, list(record.params[n].shape)] for n in order],
-        "opt_state": [[n, list(record.optimizer_state[n].shape)]
-                      for n in order if n in record.optimizer_state],
         "blob_sha256": sha256_hex(blob),
     }
 
 
 def _model_dict(m: ModelRecord) -> dict:
     return {
-        "model_id": m.model_id, "task": m.task, "path": list(m.path),
+        "model_id": m.model_id, "path": list(m.path),
         "genome": m.genome.to_dict(), "score": m.score,
         "selection_counts": {k: m.selection_counts[k] for k in sorted(m.selection_counts)},
         "parent": m.parent, "train_steps_done": m.train_steps_done,
@@ -68,9 +63,9 @@ def _model_dict(m: ModelRecord) -> dict:
     }
 
 
-def _model_from_dict(d: dict) -> ModelRecord:
+def _model_from_dict(d: dict, task: str) -> ModelRecord:
     return ModelRecord(
-        model_id=d["model_id"], task=d["task"], path=tuple(d["path"]),
+        model_id=d["model_id"], task=task, path=tuple(d["path"]),
         genome=Genome.from_dict(d["genome"]), score=d["score"],
         selection_counts=dict(d["selection_counts"]), parent=d["parent"],
         train_steps_done=int(d["train_steps_done"]), created_seq=int(d["created_seq"]),
@@ -112,7 +107,6 @@ def save(state: SystemState, directory) -> dict:
         "rng_seed": state.rng_seed,
         "generation_counter": state.generation_counter,
         "model_seq": state.model_seq,
-        "history_offset": state.history_offset,
         "arch": state.arch.to_dict(),
         "tasks": {
             name: {"num_classes": spec.num_classes, "input": list(spec.input_shape),
@@ -133,37 +127,34 @@ def save(state: SystemState, directory) -> dict:
     return manifest
 
 
-def _read_blob(path: Path, entry: dict, layer_id: str) -> tuple[dict, dict]:
+def _read_blob(path: Path, sha256: str, config: LayerConfig, layer_id: str) -> tuple[dict, dict]:
     if not path.exists():
         raise DataError(f"missing blob for layer {layer_id}: {path.name}")
     blob = path.read_bytes()
-    if sha256_hex(blob) != entry["blob_sha256"]:
+    if sha256_hex(blob) != sha256:
         raise DataError(f"hash mismatch in blob for layer {layer_id} ({path.name})")
     if blob[:4] != MAGIC:
         raise DataError(f"bad magic in blob for layer {layer_id}")
     version, count, _ = struct.unpack("<III", blob[4:16])
     if version != FORMAT_VERSION:
         raise DataError(f"blob version {version} unsupported for layer {layer_id}")
-    specs = list(entry["params"]) + list(entry["opt_state"])
-    if count != len(specs):
-        raise DataError(f"blob tensor count {count} != manifest {len(specs)} for layer {layer_id}")
+    shapes = param_shapes(config)
+    n = len(shapes)
+    if count not in (n, 2 * n):  # the parameters, then the momentum of all of them or of none
+        raise DataError(f"blob tensor count {count} for layer {layer_id} is neither {n} nor {2 * n}")
     offset = 16
     tensors = []
-    for name, shape in specs:
-        n = math.prod(shape)
-        end = offset + 4 * n
+    for name, shape in list(shapes.items()) * (count // n):
+        size = math.prod(shape)
+        end = offset + 4 * size
         if end > len(blob):
             raise DataError(f"truncated blob for layer {layer_id}")
         # read-only views of the blob; the record built from them makes the one copy
-        tensors.append((name, np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
-                        .reshape([int(s) for s in shape])))
+        tensors.append((name, np.frombuffer(blob, dtype="<f4", count=size, offset=offset).reshape(shape)))
         offset = end
     if offset != len(blob):
         raise DataError(f"trailing bytes in blob for layer {layer_id}")
-    n_params = len(entry["params"])
-    params = dict(tensors[:n_params])
-    opt = dict(tensors[n_params:])
-    return params, opt
+    return dict(tensors[:n]), dict(tensors[n:])
 
 
 def load(directory) -> SystemState:
@@ -210,10 +201,10 @@ def load(directory) -> SystemState:
             if entry["file"] != f"{lid}.bin":
                 # `sweep` keeps a layer's blob by its id, so a blob must be named after its layer
                 raise ValueError(f"blob file {entry['file']!r} is not {lid}.bin")
-            params, opt = _read_blob(directory / entry["file"], entry, lid)
+            config = LayerConfig.from_dict(entry["config"])
+            params, opt = _read_blob(directory / entry["file"], entry["blob_sha256"], config, lid)
             record = LayerRecord.create(
-                kind=LayerKind(entry["kind"]),
-                config=LayerConfig.from_dict(entry["config"]), params=params, optimizer_state=opt,
+                kind=config.kind, config=config, params=params, optimizer_state=opt,
                 cloned_from=entry["cloned_from"],
                 trained_on=[(t, int(s)) for t, s in entry["trained_on"]],
                 creator_task=entry["creator_task"],
@@ -230,8 +221,9 @@ def load(directory) -> SystemState:
             p = manifest["pending"]
             pending = PendingIteration(task=p["task"], generation_done=int(p["generation_done"]),
                                        econfig=EvolutionConfig.from_dict(p["econfig"]),
-                                       active_models=[_model_from_dict(m) for m in p["active_models"]])
-        retained = {t: _model_from_dict(m) for t, m in manifest["retained_models"].items()}
+                                       active_models=[_model_from_dict(m, p["task"])
+                                                      for m in p["active_models"]])
+        retained = {t: _model_from_dict(m, t) for t, m in manifest["retained_models"].items()}
         if pending is not None:
             # A retained model in the pending population is one record, so the selection
             # counts a resumed iteration adds reach both, as in an uninterrupted run.
@@ -245,7 +237,6 @@ def load(directory) -> SystemState:
             rng_seed=int(manifest["rng_seed"]),
             generation_counter=int(manifest["generation_counter"]),
             model_seq=int(manifest["model_seq"]),
-            history_offset=int(manifest.get("history_offset", 0)),
             pending=pending,
         )
         state.validate_references()

@@ -62,8 +62,9 @@ class LayerRecord:
     """A frozen block of trained parameters with lineage and provenance.
 
     Valid by construction: building one copies the arrays to read-only float32,
-    checks them against the config, and sets `id` to their content hash, which
-    no caller can supply. So a record that exists is one the store may hold.
+    checks `kind`, the parameters and the momentum (of all or of none) against
+    the config, and sets `id` to their content hash, which no caller can supply.
+    So a record that exists is one the store may hold and a manifest can describe.
     """
 
     id: str = field(init=False)
@@ -79,16 +80,17 @@ class LayerRecord:
         params = {k: freeze_array(v) for k, v in self.params.items()}
         opt = {k: freeze_array(v) for k, v in (self.optimizer_state or {}).items()}
         hist = tuple((str(t), int(s)) for t, s in self.trained_on)
+        if self.kind != self.config.kind:
+            raise ValidationError(f"kind {self.kind.value} differs from its config kind {self.config.kind.value}")
         expected = param_shapes(self.config)
         got = {k: tuple(v.shape) for k, v in params.items()}
         if got != expected:
             raise ValidationError(f"{self.kind.value} parameter shapes {got} do not match expected {expected}")
+        if opt and {k: tuple(v.shape) for k, v in opt.items()} != expected:
+            raise ValidationError(f"{self.kind.value} optimizer state must be empty or match every parameter")
         for name, arr in [*params.items(), *opt.items()]:
             if not np.isfinite(arr).all():
                 raise ValidationError(f"non-finite values in tensor {name!r} of {self.kind.value}")
-        for name in opt:
-            if name not in params:
-                raise ValidationError(f"optimizer state {name!r} has no matching parameter")
         lid = content_id(self.kind, self.config, params, opt, self.cloned_from, hist, self.creator_task)
         for name, value in (("params", params), ("optimizer_state", opt), ("trained_on", hist), ("id", lid)):
             object.__setattr__(self, name, value)
@@ -192,9 +194,6 @@ class SystemState:
     rng_seed: int
     generation_counter: int = 0
     model_seq: int = 0
-    # children trained by every iteration of this state's lineage, including those run
-    # before a load-checkpoint root was copied: not the row count of one root's children.jsonl
-    history_offset: int = 0
     pending: PendingIteration | None = None
 
     def next_model_seq(self) -> int:

@@ -55,7 +55,7 @@ def test_init_creates_stripped_root_checkpoint(tmp_path, capsys):
     assert main(["init", "--config", str(config)]) == 0
     manifest = json.loads((out / "latest" / MANIFEST).read_text())
     root = manifest["retained_models"]["root"]
-    kinds = [manifest["layers"][lid]["kind"] for lid in root["path"]]
+    kinds = [manifest["layers"][lid]["config"]["kind"] for lid in root["path"]]
     assert kinds == ["patch_embedding", "class_token", "position_embedding", "head"]
     assert "ta" in manifest["tasks"]
 
@@ -187,6 +187,13 @@ EVOLUTION = {"num_generations": 1, "children_per_generation": 2, "train_cycles":
     # names that are not strings
     ("schedule[0].task", {"schedule": [{"task": ["ta"]}]}),
     ("tasks[0].name", {"tasks": [glyph_task(5)], "schedule": [{"task": 5}]}),
+    # misspelled or unknown keys, which would otherwise fall back to defaults
+    ("arch.hiden_dim", {"arch": {"hiden_dim": 64}}),
+    ("schedule[0].iteration", {"schedule": [{"task": "ta", "iteration": 3}]}),
+    ("replica", {"replica": 3}),
+    ("root.pth", {"root": {"mode": "load-checkpoint", "pth": "elsewhere"}}),
+    # a task entry that cannot be built is named by its index
+    ("tasks[0]", {"tasks": [{"type": "raw"}]}),
 ])
 def test_init_rejects_bad_counts(tmp_path, capsys, monkeypatch, field, overrides):
     monkeypatch.chdir(tmp_path)  # where a relative output_dir would land

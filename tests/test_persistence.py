@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 import threading
 from pathlib import Path
 
@@ -11,6 +13,8 @@ from evograft.errors import DataError, ValidationError
 from evograft.evolution import EvolutionConfig, run_task_iteration, score_model
 from evograft.persistence import MANIFEST, load, manifest_hash, save
 from evograft.accounting import param_report
+from evograft.nn.config import LayerConfig
+from evograft.nn.layers import param_shapes
 from evograft.system import build_root_state, register_task
 from evograft import tasks as tasks_module
 from evograft.tasks import make_synthetic_glyph_task
@@ -28,7 +32,6 @@ def built_state(seed=4, evolved=True):
 
 class TestBlobFormat:
     def test_blob_wire_format(self, tmp_path):
-        import struct
         state = built_state(evolved=False)
         save(state, tmp_path / "ck")
         manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
@@ -37,13 +40,32 @@ class TestBlobFormat:
             assert blob[:4] == b"MU2L"
             version, count, reserved = struct.unpack("<III", blob[4:16])
             assert version == 1 and reserved == 0
-            specs = entry["params"] + entry["opt_state"]
-            assert count == len(specs)
-            expected_floats = sum(int(np.prod(shape)) for _, shape in specs)
+            specs = list(param_shapes(LayerConfig.from_dict(entry["config"])).values())
+            assert count == len(specs)  # a root layer has no momentum
+            expected_floats = sum(int(np.prod(shape)) for shape in specs)
             assert len(blob) == 16 + 4 * expected_floats
             # little-endian float32 payload parses finite
             payload = np.frombuffer(blob, dtype="<f4", offset=16)
             assert np.isfinite(payload).all()
+
+
+def as_older_format(manifest, directory):
+    """Edit a checkpoint's manifest into the form an older build wrote: each layer
+    entry repeats its config's kind and lists its tensors' names and shapes, each
+    model repeats its task, and the state carries a `history_offset`. The blobs in
+    `directory` were the same in that format."""
+    for entry in manifest["layers"].values():
+        shapes = param_shapes(LayerConfig.from_dict(entry["config"]))
+        _, count, _ = struct.unpack("<III", (Path(directory) / entry["file"]).read_bytes()[4:16])
+        entry["kind"] = entry["config"]["kind"]
+        entry["params"] = [[n, list(shape)] for n, shape in shapes.items()]
+        entry["opt_state"] = entry["params"] if count == 2 * len(shapes) else []
+    for task, model in manifest["retained_models"].items():
+        model["task"] = task
+    if manifest["pending"]:
+        for model in manifest["pending"]["active_models"]:
+            model["task"] = manifest["pending"]["task"]
+    manifest["history_offset"] = 2
 
 
 class TestRoundTrip:
@@ -54,7 +76,6 @@ class TestRoundTrip:
         assert param_report(loaded).to_dict() == param_report(state).to_dict()
         assert {t: m.model_id for t, m in loaded.retained_models.items()} == \
                {t: m.model_id for t, m in state.retained_models.items()}
-        assert loaded.history_offset == state.history_offset == 2
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         state = built_state()
@@ -64,6 +85,26 @@ class TestRoundTrip:
         assert (tmp_path / "a" / MANIFEST).read_bytes() == (tmp_path / "b" / MANIFEST).read_bytes()
         for blob in sorted(p.name for p in (tmp_path / "a").glob("*.bin")):
             assert (tmp_path / "a" / blob).read_bytes() == (tmp_path / "b" / blob).read_bytes()
+
+    def test_a_checkpoint_in_the_older_format_loads_scores_and_resaves_identically(self, tmp_path, capsys):
+        state = built_state()
+        saved = save(state, tmp_path / "fresh")
+        assert not {"kind", "params", "opt_state"} & {k for e in saved["layers"].values() for k in e}
+        assert "history_offset" not in saved and "task" not in saved["retained_models"]["ta"]
+        older = save(state, tmp_path / "old")
+        as_older_format(older, tmp_path / "old")
+        assert any(entry["opt_state"] for entry in older["layers"].values())
+        (tmp_path / "old" / MANIFEST).write_text(json.dumps(older))
+        loaded = load(tmp_path / "old")
+        m = loaded.retained_models["ta"]
+        assert m.task == "ta" and m.score == state.retained_models["ta"].score
+        assert score_model(m, loaded.tasks["ta"], loaded.store, split="test") == \
+               score_model(state.retained_models["ta"], state.tasks["ta"], state.store, split="test")
+        assert any(loaded.store.get(lid).optimizer_state for lid in m.path)
+        save(loaded, tmp_path / "again")
+        assert (tmp_path / "again" / MANIFEST).read_bytes() == (tmp_path / "fresh" / MANIFEST).read_bytes()
+        assert main(["gc", "--checkpoint", str(tmp_path / "old")]) == 0
+        assert main(["eval", "ta", "--checkpoint", str(tmp_path / "old")]) == 0
 
     def test_load_twice_yields_equal_states(self, tmp_path):
         state = built_state()
@@ -169,7 +210,7 @@ class TestFailureModes:
         assert (tmp_path / "again" / MANIFEST).read_bytes() == saved
 
     @pytest.mark.parametrize("field,value", [
-        ("kind", "dense_blok"), ("trained_on", None), ("trained_on", 5),
+        ("config", {"kind": "dense_blok", "hidden_dim": 32}), ("trained_on", None), ("trained_on", 5),
         ("config", {"kind": "head", "hidden_dim": "wide"}), ("file", "other.bin"),
     ], ids=["unknown-kind", "missing-key", "wrong-type", "bad-config", "foreign-blob-name"])
     def test_malformed_layer_entry_is_a_data_error(self, tmp_path, field, value):
@@ -231,6 +272,25 @@ class TestFailureModes:
             load(tmp_path / "ck")
         assert main(["report", "params", "--checkpoint", str(tmp_path / "ck")]) == 3
         assert "malformed manifest entry for task ta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [-1, 1, 15])
+    def test_blob_tensor_count_is_parameters_or_parameters_and_momentum(self, tmp_path, capsys, extra):
+        # a head has 2 parameters: its blob lists 2 tensors, or 4 with momentum, and no other count
+        state = built_state()
+        save(state, tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
+        lid = state.retained_models["ta"].path[-1]
+        blob = tmp_path / "ck" / f"{lid}.bin"
+        raw = bytearray(blob.read_bytes())
+        assert struct.unpack("<I", raw[8:12]) == (4,)
+        raw[8:12] = struct.pack("<I", 4 + extra)
+        blob.write_bytes(bytes(raw))
+        manifest["layers"][lid]["blob_sha256"] = hashlib.sha256(bytes(raw)).hexdigest()
+        (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=f"blob tensor count {4 + extra} for layer {lid} is neither 2"):
+            load(tmp_path / "ck")
+        assert main(["eval", "ta", "--checkpoint", str(tmp_path / "ck")]) == 3
+        assert "blob tensor count" in capsys.readouterr().err
 
     def test_head_width_disagreeing_with_task_is_rejected(self, tmp_path):
         # The task's recipe says 4 classes while the retained head has 6 outputs.
@@ -334,6 +394,12 @@ class TestResumeEquivalence:
             manifest["pending"]["econfig"]["replica_seed"] = None
 
         straight, resumed = interrupt_and_resume(tmp_path, add_replica_seed)
+        assert straight == resumed
+
+    def test_barrier_checkpoint_in_the_older_format_resumes(self, tmp_path):
+        # The older format also repeated every pending model's task.
+        straight, resumed = interrupt_and_resume(tmp_path, lambda m: as_older_format(m, tmp_path / "mid"),
+                                                 seed=10, visits=2, kill_after=0)
         assert straight == resumed
 
     def test_identical_reruns_share_manifest_hash(self, tmp_path):

@@ -111,6 +111,24 @@ class TestValidation:
         with pytest.raises(ValidationError):
             state.validate_references()
 
+    def test_kind_must_equal_the_config_kind(self, arch):
+        cfg = arch.layer_config(LayerKind.TRANSFORMER)
+        with pytest.raises(ValidationError, match="kind head differs from its config kind transformer"):
+            LayerRecord.create(kind=LayerKind.HEAD, config=cfg, params=init_params(cfg, np.random.default_rng(0)),
+                               optimizer_state=None, cloned_from=None, trained_on=(), creator_task="t")
+
+    def test_momentum_is_kept_for_every_parameter_or_none(self, arch):
+        cfg = arch.layer_config(LayerKind.TRANSFORMER)
+        params = init_params(cfg, np.random.default_rng(0))
+        full = {n: np.ones_like(p) for n, p in params.items()}
+        for opt in (None, {}, full):
+            make_record(LayerKind.TRANSFORMER, arch, opt_state=opt)
+        partial = {n: full[n] for n in ("wq", "bq")}
+        misshapen = {**full, "wq": np.ones((2, 2), np.float32)}
+        for opt in (partial, misshapen):
+            with pytest.raises(ValidationError, match="optimizer state must be empty or match every parameter"):
+                make_record(LayerKind.TRANSFORMER, arch, opt_state=opt)
+
     def test_shape_mismatch_rejected(self, arch):
         cfg = arch.layer_config(LayerKind.HEAD, num_classes=4)
         params = init_params(cfg, np.random.default_rng(0))
