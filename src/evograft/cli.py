@@ -21,7 +21,7 @@ from .mutation import SearchSpace
 from .nn.config import ArchConfig
 from .store import SystemState, garbage_collect, provenance_report
 from .system import build_root_state, register_task
-from .tasks import ROOT_TASK, AccessPolicy, TaskSpec, build_task, model_allowed
+from .tasks import RECIPE_FIELDS, ROOT_TASK, AccessPolicy, TaskSpec, build_task, model_allowed
 from .util import canonical_json, derive_seed, is_count, keep_heap
 
 
@@ -82,6 +82,11 @@ def _parse_experiment(cfg: dict):
     _expect(isinstance(tasks, list), "tasks", "must be a list")
     for i, t in enumerate(tasks):
         _expect(isinstance(t, dict) and "type" in t, f"tasks[{i}]", "must be an object with a type")
+        _expect(isinstance(t["type"], str) and t["type"] in RECIPE_FIELDS, f"tasks[{i}].type",
+                f"must be one of {sorted(RECIPE_FIELDS)}")
+        # a raw entry names its directory; the dataset's header gives the rest of its recipe
+        fields = ("path", "name") if t["type"] == "raw" else RECIPE_FIELDS[t["type"]]
+        _expect_known(t, ("type", "acl", *fields), f"tasks[{i}].")
         _expect(isinstance(t.get("name", ""), str), f"tasks[{i}].name", "must be a string")
 
     schedule = cfg.get("schedule", [])
@@ -115,8 +120,7 @@ def _build_task_spec(index: int, entry: dict) -> TaskSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"tasks[{index}]: {exc!r}") from exc
     # a raw task takes its name from its header; a `name` key may only repeat it
-    name = entry.get("name", spec.name)
-    _expect(name == spec.name, f"tasks[{name}].name",
+    _expect(entry.get("name", spec.name) == spec.name, f"tasks[{index}].name",
             f"differs from the name {spec.name!r} in the dataset header")
     return spec
 

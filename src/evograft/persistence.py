@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InvariantError
+from .errors import ConfigError, DataError, InvariantError, ValidationError
 from .evolution import EvolutionConfig
 from .mutation import Genome
 from .nn.config import ArchConfig, LayerConfig
@@ -108,11 +108,8 @@ def save(state: SystemState, directory) -> dict:
         "generation_counter": state.generation_counter,
         "model_seq": state.model_seq,
         "arch": state.arch.to_dict(),
-        "tasks": {
-            name: {"num_classes": spec.num_classes, "input": list(spec.input_shape),
-                   "acl": spec.acl.to_dict(), "recipe": spec.recipe}
-            for name, spec in sorted(state.tasks.items())
-        },
+        "tasks": {name: {"acl": spec.acl.to_dict(), "recipe": spec.recipe}
+                  for name, spec in sorted(state.tasks.items())},
         "layers": layers,
         "retained_models": {t: _model_dict(m) for t, m in sorted(state.retained_models.items())},
         "pending": None if state.pending is None else {
@@ -161,10 +158,10 @@ def load(directory) -> SystemState:
     """Load a checkpoint and re-validate its layers, models and references.
 
     Tasks come back with their data deferred (see `TaskSpec`): this checks only
-    what needs no image, namely each task entry's keys, ACL and recipe type and
-    fields, and that a synthetic recipe names the task and implies its class
-    count and input shape. Rendering, raw-file reads and the raw checksum wait
-    for the first read of a task's `splits`, which `run` makes for every task it
+    what needs no image, namely that each task entry's ACL and recipe make a
+    valid `TaskSpec` whose recipe names the task's key. Rendering, raw-file
+    reads and the comparison of the rebuilt recipe with the stored one wait for
+    the first read of a task's `splits`, which `run` makes for every task it
     trains or scores and `eval` for its one task; `gc` and `report params|graph|
     provenance` make none.
     """
@@ -188,11 +185,11 @@ def load(directory) -> SystemState:
     tasks: dict[str, TaskSpec] = {}
     for name, td in manifest.get("tasks", {}).items():
         try:
-            spec = TaskSpec(name=name, num_classes=td["num_classes"], input_shape=tuple(td["input"]),
-                            acl=AccessPolicy.from_dict(td["acl"]), splits=None, recipe=td["recipe"])
-        except (KeyError, TypeError, ValueError) as exc:
+            spec = TaskSpec(td["recipe"], AccessPolicy.from_dict(td["acl"]))
+            if spec.name != name:
+                raise ValueError(f"its recipe names {spec.name!r}")
+        except (AttributeError, KeyError, TypeError, ValueError, ConfigError, ValidationError) as exc:
             raise DataError(f"malformed manifest entry for task {name}: {exc!r}") from exc
-        spec.check_recipe()
         tasks[name] = spec
 
     store = LayerStore()

@@ -38,7 +38,6 @@ def build_root_state(arch: ArchConfig, seed: int,
 
 
 def register_task(state: SystemState, spec: TaskSpec) -> None:
-    spec.validate()
     if spec.name == ROOT_TASK:
         raise ConfigError(f"{ROOT_TASK!r} is a reserved task name")
     existing = state.tasks.get(spec.name)

@@ -80,23 +80,49 @@ class Dataset:
 
 
 class TaskSpec:
-    """One classification task: geometry, access policy, build recipe and data.
+    """One classification task, stated by its recipe: the recipe gives the task's
+    name, class count and input shape, and the ACL says who may reuse it.
 
-    `splits=None` defers the data, as `persistence.load` does: the first read of
-    `splits` rebuilds the task from its recipe through `build_task` (which
-    validates it), checks that the rebuilt task matches this one's name, class
-    count and input shape, and keeps its splits. Any failure is a DataError, and
-    the data stays unbuilt. The first read must come from one thread only.
+    A TaskSpec is valid by construction: its recipe has a known type and every
+    field that type needs, a group ACL includes the task, and given splits are
+    all present, non-empty and labelled below the class count. `splits=None`
+    defers the data, as `persistence.load` does: the first read of `splits`
+    rebuilds the task through `build_task` and keeps its splits only if the
+    rebuilt recipe equals this one. Any failure is a DataError, and the data
+    stays unbuilt. The first read must come from one thread only.
     """
 
-    def __init__(self, name: str, num_classes: int, input_shape: tuple[int, int, int],
-                 acl: AccessPolicy, splits: dict[str, Dataset] | None, recipe: dict):
-        self.name = name
-        self.num_classes = num_classes
-        self.input_shape = input_shape
+    def __init__(self, recipe: dict, acl: AccessPolicy, splits: dict[str, Dataset] | None = None):
+        kind = recipe.get("type")
+        if kind not in RECIPE_FIELDS:
+            raise ConfigError(f"unknown task recipe type {kind!r}")
+        missing = [f for f in RECIPE_FIELDS[kind] if f not in recipe]
+        if missing:
+            raise KeyError(missing[0])
+        self.name = recipe["name"]
+        self.num_classes = recipe["num_classes"]
+        if kind == "raw":
+            self.input_shape = tuple(recipe["shape"])
+        else:
+            self.input_shape = (recipe["resolution"], recipe["resolution"], 1)
         self.acl = acl
         self.recipe = recipe
+        if self.num_classes < 2:
+            raise ValidationError(f"task {self.name!r} needs >= 2 classes")
+        if acl.mode == AccessMode.GROUP and self.name not in acl.group:
+            raise ValidationError(f"group policy of {self.name!r} must include it")
+        if splits is not None:
+            self._check_splits(splits)
         self._splits = splits
+
+    def _check_splits(self, splits: dict[str, Dataset]) -> None:
+        for s in SPLITS:
+            if s not in splits or len(splits[s]) == 0:
+                raise DataError(f"task {self.name!r} split {s!r} is missing or empty")
+            top = int(splits[s].labels.max())
+            if top >= self.num_classes:
+                raise DataError(f"label out of range: split {s!r} contains label {top} "
+                                f"for a {self.num_classes}-class task")
 
     @property
     def splits(self) -> dict[str, Dataset]:
@@ -104,52 +130,11 @@ class TaskSpec:
             try:
                 built = build_task(self.recipe, self.acl)
             except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                raise self._entry_error(repr(exc)) from exc
-            self._check_matches(built.name, built.num_classes, built.input_shape)
+                raise DataError(f"malformed manifest entry for task {self.name}: {exc!r}") from exc
+            if built.recipe != self.recipe:
+                raise DataError(f"rebuilt task {self.name!r} does not match its manifest entry")
             self._splits = built.splits
         return self._splits
-
-    def check_recipe(self) -> None:
-        """The checks of a deferred task that read no data: the recipe's type is known
-        and has every field it needs, and a synthetic recipe names this task and
-        implies its class count and input shape. Raises DataError."""
-        try:
-            kind = self.recipe.get("type")
-            if kind not in RECIPE_FIELDS:
-                raise ConfigError(f"unknown task recipe type {kind!r}")
-            missing = [f for f in RECIPE_FIELDS[kind] if f not in self.recipe]
-            if missing:
-                raise KeyError(missing[0])
-        except (AttributeError, KeyError, ConfigError) as exc:
-            raise self._entry_error(repr(exc)) from exc
-        if kind == "synthetic_glyphs":
-            res = self.recipe["resolution"]
-            self._check_matches(self.recipe["name"], self.recipe["num_classes"], (res, res, 1))
-
-    def _check_matches(self, name, num_classes, input_shape) -> None:
-        if name != self.name:
-            raise self._entry_error(f"its recipe names {name!r}")
-        if num_classes != self.num_classes or list(input_shape) != list(self.input_shape):
-            raise DataError(f"rebuilt task {self.name!r} does not match its manifest entry")
-
-    def _entry_error(self, detail: str) -> DataError:
-        return DataError(f"malformed manifest entry for task {self.name}: {detail}")
-
-    def validate(self) -> None:
-        if self.num_classes < 2:
-            raise ValidationError(f"task {self.name!r} needs >= 2 classes")
-        for s in SPLITS:
-            if s not in self.splits or len(self.splits[s]) == 0:
-                raise ValidationError(f"task {self.name!r} split {s!r} is missing or empty")
-            labels = self.splits[s].labels
-            if labels.size and int(labels.max()) >= self.num_classes:
-                raise ValidationError(
-                    f"task {self.name!r} split {s!r} has label {int(labels.max())} "
-                    f">= num_classes {self.num_classes}"
-                )
-        if self.acl.mode == AccessMode.GROUP:
-            if not self.acl.group or self.name not in self.acl.group:
-                raise ValidationError(f"group policy of {self.name!r} must be non-empty and include it")
 
 
 def acl_allows(consumer: TaskSpec, layer: LayerRecord, registry: Mapping[str, TaskSpec]) -> bool:
@@ -290,10 +275,7 @@ def make_synthetic_glyph_task(name: str, num_classes: int, samples_per_class: in
     recipe = {"type": "synthetic_glyphs", "name": name, "num_classes": num_classes,
               "samples_per_class": samples_per_class, "noise": noise, "seed": seed,
               "resolution": resolution, "patch_size": patch_size}
-    spec = TaskSpec(name=name, num_classes=num_classes, input_shape=(resolution, resolution, 1),
-                    acl=acl or AccessPolicy(), splits=splits, recipe=recipe)
-    spec.validate()
-    return spec
+    return TaskSpec(recipe, acl or AccessPolicy(), splits)
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +338,21 @@ def load_raw_dataset(directory, acl: AccessPolicy | None = None) -> TaskSpec:
         digest.update(blob)
         images = np.frombuffer(blob, dtype=np.uint8, count=pixel_bytes).reshape(n, h, w, c)
         labels = np.frombuffer(blob[pixel_bytes:], dtype="<u2")
-        if labels.size and int(labels.max()) >= num_classes:
-            raise DataError(
-                f"label out of range: {split}.bin contains label {int(labels.max())} "
-                f"for a {num_classes}-class task"
-            )
         splits[split] = Dataset(images=images.copy(), labels=labels.astype(np.uint16))
     if digest.hexdigest() != checksum:
         raise DataError("checksum mismatch: dataset blobs do not match header")
 
-    spec = TaskSpec(name=name, num_classes=num_classes, input_shape=(h, w, c),
-                    acl=acl or AccessPolicy(), splits=splits,
-                    recipe={"type": "raw", "path": str(directory)})
-    spec.validate()
-    return spec
+    recipe = {"type": "raw", "path": str(directory), "name": name, "num_classes": num_classes,
+              "shape": [h, w, c], "counts": counts, "checksum": checksum}
+    return TaskSpec(recipe, acl or AccessPolicy(), splits)
 
 
-# the fields each recipe type needs, in the order build_task reads them
+# the fields each recipe type needs: a synthetic recipe's are the generator's
+# arguments, a raw recipe's are its directory and the header it found there
 RECIPE_FIELDS = {
     "synthetic_glyphs": ("name", "num_classes", "samples_per_class", "noise", "seed",
                          "resolution", "patch_size"),
-    "raw": ("path",),
+    "raw": ("path", "name", "num_classes", "shape", "counts", "checksum"),
 }
 
 
@@ -384,12 +360,7 @@ def build_task(recipe: dict, acl: AccessPolicy) -> TaskSpec:
     """Rebuild a task from its persisted recipe (checkpoint restore path)."""
     kind = recipe.get("type")
     if kind == "synthetic_glyphs":
-        return make_synthetic_glyph_task(
-            name=recipe["name"], num_classes=recipe["num_classes"],
-            samples_per_class=recipe["samples_per_class"], noise=recipe["noise"],
-            seed=recipe["seed"], acl=acl,
-            resolution=recipe["resolution"], patch_size=recipe["patch_size"],
-        )
+        return make_synthetic_glyph_task(**{f: recipe[f] for f in RECIPE_FIELDS[kind]}, acl=acl)
     if kind == "raw":
         return load_raw_dataset(recipe["path"], acl=acl)
     raise ConfigError(f"unknown task recipe type {kind!r}")

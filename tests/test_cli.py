@@ -194,6 +194,10 @@ EVOLUTION = {"num_generations": 1, "children_per_generation": 2, "train_cycles":
     ("root.pth", {"root": {"mode": "load-checkpoint", "pth": "elsewhere"}}),
     # a task entry that cannot be built is named by its index
     ("tasks[0]", {"tasks": [{"type": "raw"}]}),
+    # a task entry takes its type's recipe fields and an acl, and a raw entry only path and name
+    ("tasks[0].type", {"tasks": [{"type": "mystery", "name": "ta"}]}),
+    ("tasks[0].alc", {"tasks": [{**glyph_task("ta"), "alc": {"mode": "private"}}]}),
+    ("tasks[0].seed", {"tasks": [{"type": "raw", "path": "ds", "name": "ta", "seed": 5}]}),
 ])
 def test_init_rejects_bad_counts(tmp_path, capsys, monkeypatch, field, overrides):
     monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
@@ -544,7 +548,7 @@ def test_init_rejects_a_raw_entry_named_unlike_its_header(tmp_path, capsys):
     entry = {**raw_task(tmp_path, "tr"), "name": "tx"}
     config, out = write_config(tmp_path, tasks=[entry], schedule=[{"task": "tx"}])
     assert main(["init", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: tasks[tx].name: ")
+    assert capsys.readouterr().err.startswith("error: tasks[0].name: ")
     assert not (out / "latest").exists()
 
 
@@ -603,15 +607,24 @@ def test_commands_build_only_the_task_data_they_read(tmp_path, capsys, counted_b
     assert sorted(counted_builds) == [("ta", True)] * 2 + [("tb", True)] * 2
 
 
-def test_a_changed_raw_dataset_stops_only_the_commands_that_read_it(tmp_path, capsys):
-    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), raw_task(tmp_path, "tr")],
-                               schedule=[{"task": "ta"}, {"task": "tr"}])
-    assert main(["init", "--config", str(config)]) == 0
-    assert main(["run", "--config", str(config)]) == 0
+def flip_a_test_byte(tmp_path):
     test_bin = tmp_path / "tr" / "test.bin"
     blob = bytearray(test_bin.read_bytes())
     blob[0] ^= 0xFF
     test_bin.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("change, error", [
+    (flip_a_test_byte, "checksum mismatch"),
+    # a different dataset whose header matches its own blobs
+    (lambda tmp_path: raw_task(tmp_path, "tr", seed=9), "rebuilt task 'tr' does not match its manifest entry"),
+], ids=["flipped-byte", "replaced-dataset"])
+def test_a_changed_raw_dataset_stops_only_the_commands_that_read_it(tmp_path, capsys, change, error):
+    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), raw_task(tmp_path, "tr")],
+                               schedule=[{"task": "ta"}, {"task": "tr"}])
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    change(tmp_path)
     rows = (out / "reports" / "children.jsonl").read_text()
     before = manifest_hash(out / "latest")
     capsys.readouterr()
@@ -620,9 +633,9 @@ def test_a_changed_raw_dataset_stops_only_the_commands_that_read_it(tmp_path, ca
     assert main(["eval", "ta", "--checkpoint", str(out)]) == 0
     capsys.readouterr()
     assert main(["eval", "tr", "--checkpoint", str(out)]) == 3
-    assert "checksum mismatch" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     # tr is scheduled second, yet run stops before any child of ta trains
     assert main(["run", "--config", str(config)]) == 3
-    assert "checksum mismatch" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert (out / "reports" / "children.jsonl").read_text() == rows
     assert manifest_hash(out / "latest") == before

@@ -19,9 +19,10 @@ def space():
 
 
 def fake_task(name="taskx", num_classes=5):
-    # No datasets needed for mutation-level tests.
-    return TaskSpec(name=name, num_classes=num_classes, input_shape=(32, 32, 1),
-                    acl=AccessPolicy(), splits={}, recipe={})
+    # No datasets needed for mutation-level tests: the data stays unbuilt.
+    return TaskSpec({"type": "synthetic_glyphs", "name": name, "num_classes": num_classes,
+                     "samples_per_class": 10, "noise": 0.0, "seed": 0, "resolution": 32,
+                     "patch_size": 4}, AccessPolicy())
 
 
 def parent_in_store(arch, task="root", mu=0.2, seed=0, num_classes=2):

@@ -49,6 +49,12 @@ class TestBlobFormat:
             assert np.isfinite(payload).all()
 
 
+def raw_recipe(name):
+    """The recipe a raw dataset directory's header gives; loading reads no file of it."""
+    return {"type": "raw", "path": "ds", "name": name, "num_classes": 6, "shape": [32, 32, 1],
+            "counts": {"train": 12, "validation": 1, "test": 2}, "checksum": "0" * 64}
+
+
 def as_older_format(manifest, directory):
     """Edit a checkpoint's manifest into the form an older build wrote: each layer
     entry repeats its config's kind and lists its tensors' names and shapes, each
@@ -261,7 +267,13 @@ class TestFailureModes:
         lambda task: task["acl"].update(mode="secret"),
         lambda task: task["recipe"].pop("seed"),
         lambda task: task["recipe"].update(type="mystery"),
-    ], ids=["missing-key", "bad-acl-mode", "missing-recipe-field", "unknown-recipe-type"])
+        lambda task: task.update(recipe={"type": "raw", "path": "ds"}),
+        lambda task: task.update(recipe={k: v for k, v in raw_recipe("ta").items() if k != "checksum"}),
+        lambda task: task.update(acl={"mode": "group", "group": ["other"]}),
+        lambda task: task.update(recipe=raw_recipe("tr")),
+    ], ids=["missing-key", "bad-acl-mode", "missing-recipe-field", "unknown-recipe-type",
+            "older-raw-recipe", "raw-recipe-without-checksum", "group-acl-without-its-task",
+            "task-key-not-raw-recipe-name"])
     def test_malformed_task_entry_is_a_data_error(self, tmp_path, capsys, edit):
         state = built_state(evolved=False)
         save(state, tmp_path / "ck")
@@ -297,8 +309,7 @@ class TestFailureModes:
         state = built_state()
         save(state, tmp_path / "ck")
         manifest = json.loads((tmp_path / "ck" / MANIFEST).read_text())
-        task = manifest["tasks"]["ta"]
-        task["num_classes"] = task["recipe"]["num_classes"] = 4
+        manifest["tasks"]["ta"]["recipe"]["num_classes"] = 4
         (tmp_path / "ck" / MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="must have 4 outputs, got 6"):
             load(tmp_path / "ck")
