@@ -10,6 +10,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from .mutation import SearchSpace
 from .nn.config import ArchConfig
 from .store import SystemState, garbage_collect, provenance_report
 from .system import build_root_state, register_task
-from .tasks import RECIPE_FIELDS, ROOT_TASK, AccessPolicy, TaskSpec, build_task, model_allowed
+from .tasks import RECIPE_FIELDS, ROOT_TASK, AccessPolicy, TaskSpec, model_allowed, plan_task
 from .util import canonical_json, derive_seed, is_count, keep_heap
 
 
@@ -112,11 +113,11 @@ def _parse_experiment(cfg: dict):
     return arch, root, tasks, schedule, econfig, replicas
 
 
-def _build_task_spec(index: int, entry: dict) -> TaskSpec:
+def _task_spec(index: int, entry: dict) -> TaskSpec:
     try:
         acl = AccessPolicy.from_dict(entry.get("acl", {"mode": "public"}))
         recipe = {k: v for k, v in entry.items() if k != "acl"}
-        spec = build_task(recipe, acl)
+        spec = plan_task(recipe, acl)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"tasks[{index}]: {exc!r}") from exc
     # a raw task takes its name from its header; a `name` key may only repeat it
@@ -171,7 +172,7 @@ def cmd_init(args) -> int:
     else:
         state = build_root_state(arch, int(cfg.get("seed", 0)), space=space)
     for i, entry in enumerate(tasks):
-        register_task(state, _build_task_spec(i, entry))
+        register_task(state, _task_spec(i, entry))
     _check_schedule(schedule, state)
     _check_retained(state, space)
     out = Path(cfg["output_dir"]) / "latest"
@@ -203,13 +204,15 @@ def cmd_run(args) -> int:
     iterations = [entry["task"] for entry in schedule for _ in range(entry.get("iterations", 1))]
     accuracies: dict[str, list[float]] = {}
     samples_per_class: dict[str, int] = {}
+    first = persistence.load(latest)
+    _check_schedule(schedule, first)
+    # build the data of every task this run trains or scores before any child
+    # trains, so a changed dataset stops the run before it writes anything
+    for t in sorted((set(iterations) | set(first.retained_models)) & set(first.tasks)):
+        first.tasks[t].splits
     for r in range(replicas):
-        rep = persistence.load(latest)
-        _check_schedule(schedule, rep)
-        # build the data of every task this run trains or scores before any child
-        # trains, so a changed dataset stops the run before it writes anything
-        for t in sorted((set(iterations) | set(rep.retained_models)) & set(rep.tasks)):
-            rep.tasks[t].splits
+        rep = first if r == 0 else persistence.load(latest)
+        rep.tasks = first.tasks  # every replica loads the same `latest`: they share its read-only data
         base = out_root
         if replicas > 1:
             rep.rng_seed = derive_seed(rep.rng_seed, "replica", r)
@@ -302,20 +305,21 @@ def cmd_gc(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process. It names each command, and `main`
+    finds the command's function at call time, so a replaced `cmd_*` is the one run."""
     parser = argparse.ArgumentParser(prog="evograft",
                                      description="evolutionary multitask model growth")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_init = sub.add_parser("init", help="create a checkpoint with the root model")
     p_init.add_argument("--config", required=True)
-    p_init.set_defaults(func=cmd_init)
 
     p_run = sub.add_parser("run", help="execute the configured task schedule")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--workers", type=int, default=1,
                        help="threads training each generation; not part of the experiment config")
-    p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="export reports from a checkpoint")
     p_rep.add_argument("kind", choices=list(REPORT_FORMATS))
@@ -323,26 +327,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--format", default="json",
                        help="params: json or csv; graph: json or dot; provenance, variance: json")
     p_rep.add_argument("--out", default=None)
-    p_rep.set_defaults(func=cmd_report)
 
     p_eval = sub.add_parser("eval", help="score a task's retained model")
     p_eval.add_argument("task")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=["train", "validation", "test"], default="test")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_gc = sub.add_parser("gc", help="collect unreachable layers in a checkpoint")
     p_gc.add_argument("--checkpoint", required=True)
-    p_gc.set_defaults(func=cmd_gc)
     return parser
 
 
 def main(argv=None) -> int:
     keep_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,17 @@
 """The active-task iteration engine: parent sampling, child training with
-intermediate validation, early pruning and best-model retention.
+intermediate validation, and best-model retention.
 
 One iteration runs num_generations generations of children_per_generation
 children each; the pending iteration holds the active population, starting
 from the task's retained model. Parents and mutations for a whole generation
 are sampled up front in child order (so results are independent of training
 parallelism), children train privately against shared frozen state, and
-survivors join the population at the generation barrier. At the end exactly
-the best scoring model for the task is retained and unreachable layers are
-collected; the `children.jsonl` rows are the only record of the other children.
+survivors join the population at the generation barrier. Before a generation
+trains, the validation activations of each distinct frozen prefix are computed
+once, so a child validates by running only its trainable suffix. At the end
+exactly the best scoring model for the task is retained and unreachable layers
+are collected; the `children.jsonl` rows are the only record of the other
+children.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .mutation import ChildModel, SearchSpace, WorkLayer, apply_mutations, sample_mutations
 from .nn.config import LayerKind
-from .nn.network import PathLayer, backward, forward
+from .nn.network import PathLayer, backward, forward, run_prefix
 from .nn.optim import sgd_step
 from .nn.preprocess import preprocess
 from .store import (LayerRecord, LayerStore, ModelRecord, PendingIteration, SystemState,
@@ -82,18 +85,47 @@ def model_resolution(path: list[PathLayer]) -> int:
     return path[0].config.image_resolution
 
 
-def score_path(path: list[PathLayer], task: TaskSpec, split: str) -> float:
-    """Top-1 accuracy with eval-mode preprocessing, deterministic iteration order."""
-    path = [PathLayer(pl.config, pl.params) for pl in path]  # frozen: forward keeps no tape
+def lowest_trainable(path: list[PathLayer]) -> int:
+    return next(i for i, pl in enumerate(path) if pl.trainable)
+
+
+def _eval_chunks(path: list[PathLayer], task: TaskSpec, split: str, stop: int) -> Iterator[np.ndarray]:
+    """For each EVAL_BATCH chunk of the split, in order: the activations entering
+    path[stop], after eval-mode preprocessing (which depends only on the resolution)."""
     ds = task.splits[split]
     resolution = model_resolution(path)
-    correct = 0
     for start in range(0, len(ds), EVAL_BATCH):
-        idx = np.arange(start, min(start + EVAL_BATCH, len(ds)))
-        images, labels = ds.batch(idx)
-        tape = forward(path, preprocess(images, None, train_mode=False, rng=None, resolution=resolution))
-        correct += int((tape.logits.argmax(axis=1) == labels).sum())
-    return correct / len(ds)
+        images, _ = ds.batch(np.arange(start, min(start + EVAL_BATCH, len(ds))))
+        x = preprocess(images, None, train_mode=False, rng=None, resolution=resolution)
+        yield run_prefix(path, x, stop)
+
+
+def frozen_inputs(path: list[PathLayer], task: TaskSpec, split: str,
+                  stop: int) -> tuple[int, list[np.ndarray]]:
+    """(stop, chunks) for `score_path`: the read-only activations entering path[stop],
+    one array per EVAL_BATCH chunk. They hold for every path with the same
+    path[:stop] layers and resolution."""
+    chunks = list(_eval_chunks(path, task, split, stop))
+    for chunk in chunks:
+        chunk.setflags(write=False)
+    return stop, chunks
+
+
+def score_path(path: list[PathLayer], task: TaskSpec, split: str,
+               inputs: tuple[int, list[np.ndarray]] | None = None) -> float:
+    """Top-1 accuracy with eval-mode preprocessing, deterministic iteration order.
+
+    Given `inputs` from `frozen_inputs(path, task, split, start)`, only path[start:]
+    runs, on the same chunks, so the score is the same to the bit.
+    """
+    path = [PathLayer(pl.config, pl.params) for pl in path]  # frozen: forward keeps no tape
+    start, chunks = inputs or (0, _eval_chunks(path, task, split, 0))
+    labels = task.splits[split].labels
+    correct = 0
+    for i, x in enumerate(chunks):
+        logits = forward(path, x, start).logits
+        correct += int((logits.argmax(axis=1) == labels[i * EVAL_BATCH:(i + 1) * EVAL_BATCH]).sum())
+    return correct / len(labels)
 
 
 def score_model(model: ModelRecord, task: TaskSpec, store: LayerStore,
@@ -153,11 +185,15 @@ class TrainResult:
 
 def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
                 rng: np.random.Generator, store: LayerStore,
-                parent_score_on_task: float | None) -> TrainResult:
+                parent_score_on_task: float | None,
+                val_inputs: tuple[int, list[np.ndarray]] | None = None) -> TrainResult:
     """Run train_cycles cycles of min(1 epoch, samples_cap) samples each,
     validating after every cycle, and keep the snapshot of the best cycle that
     meets the retention condition (>= own best so far and >= the parent's score
     when the parent was trained on this task). Frozen layers are untouched.
+
+    Validation runs from the lowest trainable layer up, on `val_inputs`: the
+    child's `frozen_inputs` on the validation split, computed here if not given.
     """
     path = materialize_path(child.entries, store)
     work = child.work_layers()
@@ -165,6 +201,8 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
         raise InvariantError("child has no trainable layer; the head must be trainable")
     train_ds = task.splits["train"]
     resolution = model_resolution(path)
+    if val_inputs is None:
+        val_inputs = frozen_inputs(path, task, "validation", lowest_trainable(path))
     n_cycle = cycle_sample_count(len(train_ds), cfg.samples_cap)
     steps_per_cycle = math.ceil(n_cycle / cfg.batch_size)
     opt_cfg = child.genome.optimizer_config(total_steps=cfg.train_cycles * steps_per_cycle)
@@ -202,7 +240,7 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
             if not all(np.isfinite(p).all() for p in params.values()):
                 result.diverged = True
                 return result
-            score = score_path(path, task, "validation")
+            score = score_path(path, task, "validation", val_inputs)
             result.cycle_scores.append(score)
             best = result.best_score if result.best_score is not None else -math.inf
             if score >= max(best, threshold):
@@ -296,15 +334,26 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
             parent_score = parent.score if parent.task == task_name else None
             planned.append((delta, child, crng, parent_score))
 
-        def train(p):
-            return train_child(p[1], task, cfg, p[2], state.store, p[3])
+        # Each distinct frozen prefix's validation activations, computed once on this
+        # thread before any child trains; the pool only reads them.
+        val_inputs, child_inputs = {}, []
+        for _, child, _, _ in planned:
+            path = materialize_path(child.entries, state.store)
+            stop = lowest_trainable(path)
+            key = (model_resolution(path), tuple(child.entries[:stop]))
+            if key not in val_inputs:
+                val_inputs[key] = frozen_inputs(path, task, "validation", stop)
+            child_inputs.append(val_inputs[key])
+
+        def train(p, inputs):
+            return train_child(p[1], task, cfg, p[2], state.store, p[3], inputs)
 
         # A pool thread for one worker made the latency of later commands vary per process.
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(train, planned))
+                results = list(pool.map(train, planned, child_inputs))
         else:
-            results = list(map(train, planned))
+            results = list(map(train, planned, child_inputs))
 
         for ci, ((delta, child, _, _), result) in enumerate(zip(planned, results)):
             record = None

@@ -53,8 +53,12 @@ def validate_path_kinds(kinds: list[LayerKind]) -> None:
             raise StructuralError(f"invalid body layer kind {k.value}")
 
 
-def forward(path: list[PathLayer], images: np.ndarray) -> Tape:
-    """Run the path on a batch of images; tape only what backward will need."""
+def forward(path: list[PathLayer], images: np.ndarray, start: int = 0) -> Tape:
+    """Run path[start:] on a batch; tape only what backward will need.
+
+    With start > 0, `images` are the activations entering path[start], as
+    `run_prefix(path, images, start)` gives them; the layers below must be frozen.
+    """
     validate_path_kinds([pl.kind for pl in path])
     hidden = {pl.config.hidden_dim for pl in path}
     if len(hidden) != 1:
@@ -62,14 +66,24 @@ def forward(path: list[PathLayer], images: np.ndarray) -> Tape:
 
     trainable_idx = [i for i, pl in enumerate(path) if pl.trainable]
     lowest = trainable_idx[0] if trainable_idx else len(path)
+    if start > lowest:
+        raise StructuralError(f"forward from layer {start} skips trainable layer {lowest}")
 
     x = images
     caches: dict[int, object] = {}
-    for i, pl in enumerate(path):
-        x, cache = L.forward(pl.config, pl.params, x)
+    for i in range(start, len(path)):
+        x, cache = L.forward(path[i].config, path[i].params, x)
         if i >= lowest:
             caches[i] = cache
     return Tape(path=list(path), caches=caches, logits=x, lowest_trainable=lowest)
+
+
+def run_prefix(path: list[PathLayer], images: np.ndarray, stop: int) -> np.ndarray:
+    """The activations entering path[stop]: path[:stop] run on a batch, untaped."""
+    x = images
+    for pl in path[:stop]:
+        x, _ = L.forward(pl.config, pl.params, x)
+    return x
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):

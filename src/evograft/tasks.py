@@ -220,31 +220,34 @@ def _class_assets(num_classes: int, grid: int, patch: int, rng: np.random.Genera
     return textures, bands
 
 
-def _glyph(texture, band, shift: int, grid: int, patch: int) -> np.ndarray:
-    """Noise-free float64 [res, res] glyph, jittered by a whole-cell horizontal shift.
+def _glyph_table(textures, bands, grid: int, patch: int) -> np.ndarray:
+    """Noise-free float64 [class, shift, res, res] glyphs, each class jittered by a
+    whole-cell horizontal shift of -1, 0 and +1.
 
     Cell-aligned translation keeps the texture tiling in phase with the patch
     grid, so within-class pixel variation is real while the per-class
     patch-pooled signature is exactly translation-invariant. Every cell is 0.0
     or 1.0, so the broadcast product equals kron(cells, ones) * tile(texture).
     """
-    r0, c0, rh, cw = band
-    cells = np.zeros((grid, grid), dtype=np.float64)
-    cells[r0: r0 + rh, c0 + shift: c0 + shift + cw] = 1.0
-    return (cells[:, None, :, None] * texture[None, :, None, :]).reshape(grid * patch, grid * patch)
+    cells = np.zeros((len(bands), 3, grid, grid), dtype=np.float64)
+    for c, (r0, c0, rh, cw) in enumerate(bands):
+        for s, shift in enumerate((-1, 0, 1)):
+            cells[c, s, r0: r0 + rh, c0 + shift: c0 + shift + cw] = 1.0
+    tiles = np.stack(textures)[:, None, None, :, None, :]
+    return (cells[:, :, :, None, :, None] * tiles).reshape(len(bands), 3, grid * patch, grid * patch)
 
 
 def _quantize(img: np.ndarray) -> np.ndarray:
     return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)[..., None]
 
 
-def make_synthetic_glyph_task(name: str, num_classes: int, samples_per_class: int,
-                              noise: float, seed: int, acl: AccessPolicy | None = None,
-                              resolution: int = 32, patch_size: int = 4) -> TaskSpec:
-    """Procedurally rendered glyph task, deterministic under seed, split 80/10/10.
+def _glyph_plan(num_classes: int, samples_per_class: int, noise: float, seed: int,
+                resolution: int, patch_size: int):
+    """Everything of a glyph task but its samples, with every check that rendering
+    them implies: (rng, glyph table, labels per split).
 
-    Each distinct (class, shift) glyph is rendered once; per sample the rng
-    draws the shift and, when noise > 0, the pixel noise, in that order.
+    The class-asset draw must run here, since only drawing finds out whether
+    every class gets a texture; the rng comes back positioned after it.
     """
     if num_classes < 2 or samples_per_class < 10:
         raise ConfigError("need num_classes >= 2 and samples_per_class >= 10")
@@ -253,25 +256,39 @@ def make_synthetic_glyph_task(name: str, num_classes: int, samples_per_class: in
     grid = resolution // patch_size
     rng = make_rng(seed)
     textures, bands = _class_assets(num_classes, grid, patch_size, rng)
-    glyphs = [[_glyph(textures[c], bands[c], shift, grid, patch_size) for shift in (-1, 0, 1)]
-              for c in range(num_classes)]
+    glyphs = _glyph_table(textures, bands, grid, patch_size)
     if not noise > 0:
-        glyphs = [[_quantize(g) for g in row] for row in glyphs]
+        glyphs = _quantize(glyphs)
 
     n_tr = int(samples_per_class * 0.8)
     n_val = max(1, int(samples_per_class * 0.1))
-    n_te = samples_per_class - n_tr - n_val
-    counts = {"train": n_tr, "validation": n_val, "test": n_te}
+    counts = {"train": n_tr, "validation": n_val, "test": samples_per_class - n_tr - n_val}
+    labels = {split: np.repeat(np.arange(num_classes, dtype=np.uint16), counts[split])
+              for split in SPLITS}
+    return rng, glyphs, labels
 
-    splits: dict[str, Dataset] = {}
-    for split in SPLITS:
-        labels = np.repeat(np.arange(num_classes, dtype=np.uint16), counts[split])
-        images = []
-        for c in labels:
-            img = glyphs[c][int(rng.integers(-1, 2)) + 1]
-            images.append(_quantize(img + rng.normal(0.0, noise, img.shape)) if noise > 0 else img)
-        splits[split] = Dataset(images=np.stack(images), labels=labels)
 
+def _render_split(glyphs, labels: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
+    """One split's images: per sample the rng draws the shift and, when noise > 0,
+    the pixel noise, in that order."""
+    images = []
+    for c in labels:
+        img = glyphs[c, int(rng.integers(-1, 2)) + 1]
+        images.append(_quantize(img + rng.normal(0.0, noise, img.shape)) if noise > 0 else img)
+    return np.stack(images)
+
+
+def make_synthetic_glyph_task(name: str, num_classes: int, samples_per_class: int,
+                              noise: float, seed: int, acl: AccessPolicy | None = None,
+                              resolution: int = 32, patch_size: int = 4) -> TaskSpec:
+    """Procedurally rendered glyph task, deterministic under seed, split 80/10/10.
+
+    Each distinct (class, shift) glyph is rendered once; the splits are then
+    rendered in order from the rng the class-asset draw left.
+    """
+    rng, glyphs, labels = _glyph_plan(num_classes, samples_per_class, noise, seed, resolution, patch_size)
+    splits = {split: Dataset(images=_render_split(glyphs, labels[split], noise, rng), labels=labels[split])
+              for split in SPLITS}
     recipe = {"type": "synthetic_glyphs", "name": name, "num_classes": num_classes,
               "samples_per_class": samples_per_class, "noise": noise, "seed": seed,
               "resolution": resolution, "patch_size": patch_size}
@@ -364,3 +381,15 @@ def build_task(recipe: dict, acl: AccessPolicy) -> TaskSpec:
     if kind == "raw":
         return load_raw_dataset(recipe["path"], acl=acl)
     raise ConfigError(f"unknown task recipe type {kind!r}")
+
+
+def plan_task(recipe: dict, acl: AccessPolicy) -> TaskSpec:
+    """The task `build_task` would build, after the checks that building it makes,
+    but with a synthetic task's samples left unrendered: as for a loaded task,
+    its data is built the first time a command reads its splits. A raw task is
+    loaded here, because its recipe holds the header's facts."""
+    if recipe.get("type") != "synthetic_glyphs":
+        return build_task(recipe, acl)
+    fields = {f: recipe[f] for f in RECIPE_FIELDS["synthetic_glyphs"]}
+    _glyph_plan(**{f: v for f, v in fields.items() if f != "name"})
+    return TaskSpec({"type": "synthetic_glyphs", **fields}, acl)

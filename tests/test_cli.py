@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from conftest import make_record
+from evograft import cli
 from evograft import tasks as tasks_module
 from evograft.cli import main
 from evograft.mutation import SearchSpace
-from evograft.nn.config import LayerKind
+from evograft.nn.config import ArchConfig, LayerKind
 from evograft.persistence import MANIFEST, load, manifest_hash, save
-from evograft.tasks import make_synthetic_glyph_task, save_raw_dataset
+from evograft.system import build_root_state, register_task
+from evograft.tasks import AccessPolicy, make_synthetic_glyph_task, save_raw_dataset
 
 
 ARCH = {"hidden_dim": 32, "num_heads": 2, "mlp_dim": 64, "patch_size": 4,
@@ -205,6 +207,72 @@ def test_init_rejects_bad_counts(tmp_path, capsys, monkeypatch, field, overrides
     assert main(["init", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+def texture_case(entry):
+    return {**entry, "num_classes": 3, "patch_size": 2, "resolution": 12}
+
+
+# entries `init` has always refused, and whose checks it keeps without rendering a sample
+@pytest.mark.parametrize("change", [
+    {"seed": "x"}, {"seed": 5.5}, {"noise": "x"},
+    {"num_classes": 1}, {"num_classes": "5"}, {"num_classes": 5.0},
+    {"samples_per_class": 9},
+    {"resolution": 30}, {"resolution": 20}, {"resolution": 24.0}, {"patch_size": 4.0},
+    texture_case,  # only the class-asset draw finds that no texture fits the third class
+], ids=lambda c: "texture" if callable(c) else "-".join(f"{k}={v!r}" for k, v in c.items()))
+def test_init_refuses_a_synthetic_entry_that_cannot_render(tmp_path, capsys, monkeypatch, change):
+    monkeypatch.chdir(tmp_path)
+    entry = change(glyph_task("ta")) if callable(change) else {**glyph_task("ta"), **change}
+    config, _ = write_config(tmp_path, tasks=[entry])
+    assert main(["init", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+# entries `init` has always accepted; tightening them would be a change of its own
+@pytest.mark.parametrize("change", [{"seed": True}, {"noise": -0.1}, {"noise": 0},
+                                    {"samples_per_class": 30.0}],
+                         ids=lambda c: "-".join(f"{k}={v!r}" for k, v in c.items()))
+def test_init_still_accepts_these_synthetic_entries(tmp_path, capsys, change):
+    config, out = write_config(tmp_path, tasks=[{**glyph_task("ta"), **change}])
+    assert main(["init", "--config", str(config)]) == 0
+    assert load(out / "latest").tasks["ta"].recipe == {
+        k: v for k, v in {**glyph_task("ta"), **change}.items() if k != "acl"}
+
+
+def test_init_renders_no_sample(tmp_path, capsys, monkeypatch):
+    def no_render(*args):
+        raise AssertionError("init rendered a sample")
+
+    monkeypatch.setattr(tasks_module, "_render_split", no_render)
+    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), {**glyph_task("tb", 6), "noise": 0.1}])
+    assert main(["init", "--config", str(config)]) == 0
+    assert sorted(load(out / "latest").tasks) == ["ta", "tb"]
+
+
+def test_init_writes_the_manifest_of_a_state_built_from_rendered_tasks(tmp_path, capsys):
+    entries = [glyph_task("ta"), {**glyph_task("tb", 6, acl="private"), "noise": 0.1}]
+    config, out = write_config(tmp_path, tasks=entries)
+    assert main(["init", "--config", str(config)]) == 0
+
+    state = build_root_state(ArchConfig.from_dict(ARCH), 77)
+    for entry in entries:
+        recipe = {k: v for k, v in entry.items() if k != "acl"}
+        register_task(state, tasks_module.build_task(recipe, AccessPolicy.from_dict(entry["acl"])))
+    save(state, tmp_path / "direct")
+    assert (tmp_path / "direct" / MANIFEST).read_bytes() == (out / "latest" / MANIFEST).read_bytes()
+
+
+def test_main_builds_its_parser_once_and_runs_the_current_command(tmp_path, capsys, monkeypatch):
+    config, out = write_config(tmp_path)
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["gc", "--checkpoint", str(out)]) == 0
+    ran = []
+    monkeypatch.setattr(cli, "cmd_gc", lambda args: ran.append(args.checkpoint) or 0)
+    assert main(["gc", "--checkpoint", str(out)]) == 0
+    assert ran == [str(out)]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_search_space_key_drives_init_and_run(tmp_path, capsys):
@@ -586,6 +654,7 @@ def test_commands_build_only_the_task_data_they_read(tmp_path, capsys, counted_b
     config, out = write_config(tmp_path, tasks=[glyph_task("ta"), noisy],
                                schedule=[{"task": "ta"}, {"task": "tb"}])
     assert main(["init", "--config", str(config)]) == 0
+    assert counted_builds == []
     assert main(["run", "--config", str(config)]) == 0
     counted_builds.clear()
 
@@ -603,8 +672,8 @@ def test_commands_build_only_the_task_data_they_read(tmp_path, capsys, counted_b
     config, out = write_config(tmp_path, tasks=[glyph_task("ta"), noisy], replicas=2,
                                schedule=[{"task": "ta"}, {"task": "tb"}])
     assert main(["run", "--config", str(config), "--workers", "2"]) == 0
-    # once per task in each replica's load, all on the calling thread
-    assert sorted(counted_builds) == [("ta", True)] * 2 + [("tb", True)] * 2
+    # once per task, on the calling thread: the replicas share the first one's data
+    assert sorted(counted_builds) == [("ta", True), ("tb", True)]
 
 
 def flip_a_test_byte(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import permutations
 
@@ -5,10 +6,14 @@ import numpy as np
 import pytest
 
 import evograft as eg
+from conftest import make_record
+from evograft import evolution
 from evograft.errors import ConfigError, InvariantError
 from evograft.evolution import (EvolutionConfig, draw_parent, run_task_iteration, sample_parent,
                                 score_model, train_child)
 from evograft.mutation import Genome, MutationSet, SearchSpace, apply_mutations
+from evograft.nn.network import PathLayer, forward
+from evograft.persistence import manifest_hash, save
 from evograft.store import ModelRecord
 from evograft.system import build_root_state, register_task
 from evograft.tasks import AccessMode, AccessPolicy, make_synthetic_glyph_task
@@ -262,9 +267,9 @@ class TestScoring:
 
         network_forward, received = evolution.forward, []
 
-        def taped_forward(layers, images):
+        def taped_forward(layers, images, start=0):
             received.append([pl.trainable for pl in layers])
-            return network_forward(path, images)  # the path as given, taped from its first layer
+            return network_forward(path, images, start)  # the path as given, taped from its first layer
 
         monkeypatch.setattr(evolution, "forward", taped_forward)
         assert evolution.score_path(path, task, "validation") == untaped
@@ -297,6 +302,57 @@ class TestScoring:
         rb = run_task_iteration(b, "ta", tiny_cfg(children_per_generation=4), workers=3)
         assert a.retained_models["ta"].model_id == b.retained_models["ta"].model_id
         assert [r["model_id"] for r in ra] == [r["model_id"] for r in rb]
+
+
+def deep_system(seed=0, depth=4, classes=10, samples_per_class=70):
+    """A root with `depth` frozen transformers and one task whose validation split
+    spans more than one EVAL_BATCH chunk."""
+    state = build_root_state(eg.ArchConfig(), seed=seed)
+    root = state.retained_models["root"]
+    body = tuple(state.store.insert(make_record(eg.LayerKind.TRANSFORMER, state.arch, seed=i))
+                 for i in range(depth))
+    path = root.path[:3] + body + root.path[3:]
+    model_id = ModelRecord.make_id("root", path, root.genome, None, None, 0, root.created_seq)
+    state.retained_models["root"] = dataclasses.replace(root, model_id=model_id, path=path)
+    register_task(state, make_synthetic_glyph_task("ta", classes, samples_per_class, 0.0, 50))
+    return state
+
+
+class TestValidationCache:
+    def test_every_prefix_gives_the_full_path_logits_and_score(self):
+        state = deep_system(classes=25, samples_per_class=40)
+        task = state.tasks["ta"]
+        insert = (7, state.arch.layer_config(eg.LayerKind.TRANSFORMER))
+        delta = MutationSet((), frozenset(), (insert,), new_head=True)
+        child = apply_mutations(state.retained_models["root"], delta, state.store,
+                                np.random.default_rng(3), task)
+        path = evolution.materialize_path(child.entries, state.store)
+        assert [pl.kind for pl in path].count(eg.LayerKind.TRANSFORMER) == 5
+        assert evolution.lowest_trainable(path) == 7
+
+        frozen = [PathLayer(pl.config, pl.params) for pl in path]
+        full = [forward(frozen, x).logits for x in evolution._eval_chunks(path, task, "validation", 0)]
+        assert [len(x) for x in full] == [64, 36]
+        score = evolution.score_path(path, task, "validation")
+        for stop in range(len(path)):
+            inputs = evolution.frozen_inputs(path, task, "validation", stop)
+            assert inputs[0] == stop
+            assert not any(x.flags.writeable for x in inputs[1])
+            for x, logits in zip(inputs[1], full):
+                assert np.array_equal(forward(frozen, x, stop).logits, logits)
+            assert evolution.score_path(path, task, "validation", inputs) == score
+
+    def test_iteration_is_the_same_for_any_worker_count_or_prefix(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(children_per_generation=4)
+        runs = {}
+        for case in ("serial", "two-workers", "no-prefix"):
+            if case == "no-prefix":
+                monkeypatch.setattr(evolution, "lowest_trainable", lambda path: 0)
+            state = deep_system(seed=5)  # two children of one generation share a stop, not a prefix
+            rows = run_task_iteration(state, "ta", cfg, workers=2 if case == "two-workers" else 1)
+            save(state, tmp_path / case)
+            runs[case] = (manifest_hash(tmp_path / case), rows)
+        assert runs["serial"] == runs["two-workers"] == runs["no-prefix"]
 
 
 class TestSchedule:
