@@ -9,8 +9,7 @@ evolution and makes per-task knowledge removable and access-controllable.
 """
 
 from .accounting import ParamReport, export_graph, param_report, variance_summary
-from .errors import (AclError, ConfigError, DataError, EvograftError, InvariantError,
-                     StructuralError, ValidationError)
+from .errors import AclError, ConfigError, DataError, EvograftError, InvariantError, ValidationError
 from .evolution import EvolutionConfig, run_task_iteration, sample_parent, score_model, train_child
 from .mutation import Genome, MutationSet, SearchSpace, apply_mutations, sample_mutations
 from .nn.config import ArchConfig, LayerConfig, LayerKind, OptimizerConfig

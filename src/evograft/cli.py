@@ -88,6 +88,9 @@ def _parse_experiment(cfg: dict):
         # a raw entry names its directory; the dataset's header gives the rest of its recipe
         fields = ("path", "name") if t["type"] == "raw" else RECIPE_FIELDS[t["type"]]
         _expect_known(t, ("type", "acl", *fields), f"tasks[{i}].")
+        if t["type"] == "synthetic_glyphs":
+            for field in fields:
+                _expect(field in t, f"tasks[{i}].{field}", "required")
         _expect(isinstance(t.get("name", ""), str), f"tasks[{i}].name", "must be a string")
 
     schedule = cfg.get("schedule", [])
@@ -118,6 +121,8 @@ def _task_spec(index: int, entry: dict) -> TaskSpec:
         acl = AccessPolicy.from_dict(entry.get("acl", {"mode": "public"}))
         recipe = {k: v for k, v in entry.items() if k != "acl"}
         spec = plan_task(recipe, acl)
+    except ConfigError as exc:  # a synthetic recipe's checks name the field
+        raise ConfigError(f"tasks[{index}].{exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"tasks[{index}]: {exc!r}") from exc
     # a raw task takes its name from its header; a `name` key may only repeat it
@@ -260,8 +265,14 @@ def cmd_report(args) -> int:
             raise DataError(f"no replica checkpoints under {root}")
         accs: dict[str, list[float]] = {}
         spc: dict[str, int] = {}
+        built: dict[str, TaskSpec] = {}
         for d in replica_dirs:
-            _score_replica(persistence.load(d), accs, spc)
+            rep = persistence.load(d)
+            # as in `run`, a task's data is built once: a later replica with an equal recipe reuses it
+            for name, spec in rep.tasks.items():
+                if built.setdefault(name, spec).recipe == spec.recipe:
+                    rep.tasks[name] = built[name]
+            _score_replica(rep, accs, spc)
         out = canonical_json(accounting.variance_summary(accs, spc))
     if args.out:
         Path(args.out).write_text(out if out.endswith("\n") else out + "\n")

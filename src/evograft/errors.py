@@ -3,7 +3,8 @@
 The CLI maps these onto its exit-code contract:
     ConfigError -> 2;
     DataError, ValidationError, AclError -> 3;
-    InvariantError, StructuralError -> 4.
+    InvariantError -> 4.
+The `evograft` package exports all six classes.
 """
 
 
@@ -24,11 +25,8 @@ class ValidationError(EvograftError):
 
 
 class InvariantError(EvograftError):
-    """An internal invariant that should be unrepresentable was violated."""
-
-
-class StructuralError(EvograftError):
-    """Layer sequence or tensor shapes do not compose into a valid model."""
+    """An internal invariant that should be unrepresentable was violated, or a caller
+    broke a function's contract (such as a backward pass on a path with nothing to train)."""
 
 
 class AclError(EvograftError):

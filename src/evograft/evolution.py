@@ -79,12 +79,6 @@ def materialize_path(entries: Iterable[str | WorkLayer], store: LayerStore) -> l
     return layers
 
 
-def model_resolution(path: list[PathLayer]) -> int:
-    if path[0].kind != LayerKind.PATCH_EMBEDDING:
-        raise InvariantError("path does not start with a patch embedding")
-    return path[0].config.image_resolution
-
-
 def lowest_trainable(path: list[PathLayer]) -> int:
     return next(i for i, pl in enumerate(path) if pl.trainable)
 
@@ -93,7 +87,7 @@ def _eval_chunks(path: list[PathLayer], task: TaskSpec, split: str, stop: int) -
     """For each EVAL_BATCH chunk of the split, in order: the activations entering
     path[stop], after eval-mode preprocessing (which depends only on the resolution)."""
     ds = task.splits[split]
-    resolution = model_resolution(path)
+    resolution = path[0].config.image_resolution
     for start in range(0, len(ds), EVAL_BATCH):
         images, _ = ds.batch(np.arange(start, min(start + EVAL_BATCH, len(ds))))
         x = preprocess(images, None, train_mode=False, rng=None, resolution=resolution)
@@ -200,7 +194,7 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
     if not work:
         raise InvariantError("child has no trainable layer; the head must be trainable")
     train_ds = task.splits["train"]
-    resolution = model_resolution(path)
+    resolution = path[0].config.image_resolution
     if val_inputs is None:
         val_inputs = frozen_inputs(path, task, "validation", lowest_trainable(path))
     n_cycle = cycle_sample_count(len(train_ds), cfg.samples_cap)
@@ -287,7 +281,7 @@ def finalize_child(state: SystemState, task: TaskSpec, child: ChildModel,
                         genome=child.genome, score=result.best_score, selection_counts={},
                         parent=child.parent_id, train_steps_done=result.steps_at_best,
                         created_seq=seq)
-    state.check_head_width(model)
+    state.check_model(model)
     return model
 
 
@@ -340,7 +334,7 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
         for _, child, _, _ in planned:
             path = materialize_path(child.entries, state.store)
             stop = lowest_trainable(path)
-            key = (model_resolution(path), tuple(child.entries[:stop]))
+            key = (path[0].config.image_resolution, tuple(child.entries[:stop]))
             if key not in val_inputs:
                 val_inputs[key] = frozen_inputs(path, task, "validation", stop)
             child_inputs.append(val_inputs[key])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import StructuralError
+from ..errors import InvariantError
 from .config import LayerConfig, LayerKind
 from . import layers as L
 
@@ -39,35 +39,17 @@ class Tape:
     lowest_trainable: int  # len(path) if nothing trains
 
 
-def validate_path_kinds(kinds: list[LayerKind]) -> None:
-    """Paths are PatchEmbedding, ClassToken, PositionEmbedding, Transformer*, Head."""
-    if len(kinds) < 4:
-        raise StructuralError(f"path too short: {[k.value for k in kinds]}")
-    expected_prefix = (LayerKind.PATCH_EMBEDDING, LayerKind.CLASS_TOKEN, LayerKind.POSITION_EMBEDDING)
-    if tuple(kinds[:3]) != expected_prefix:
-        raise StructuralError(f"path must start with {[k.value for k in expected_prefix]}")
-    if kinds[-1] != LayerKind.HEAD:
-        raise StructuralError("path must end with a head")
-    for k in kinds[3:-1]:
-        if k != LayerKind.TRANSFORMER:
-            raise StructuralError(f"invalid body layer kind {k.value}")
-
-
 def forward(path: list[PathLayer], images: np.ndarray, start: int = 0) -> Tape:
     """Run path[start:] on a batch; tape only what backward will need.
 
     With start > 0, `images` are the activations entering path[start], as
     `run_prefix(path, images, start)` gives them; the layers below must be frozen.
+    The path's structure is not checked here: `SystemState.check_model` owns that.
     """
-    validate_path_kinds([pl.kind for pl in path])
-    hidden = {pl.config.hidden_dim for pl in path}
-    if len(hidden) != 1:
-        raise StructuralError(f"all layers of a path must share hidden_dim, got {sorted(hidden)}")
-
     trainable_idx = [i for i, pl in enumerate(path) if pl.trainable]
     lowest = trainable_idx[0] if trainable_idx else len(path)
     if start > lowest:
-        raise StructuralError(f"forward from layer {start} skips trainable layer {lowest}")
+        raise InvariantError(f"forward from layer {start} skips trainable layer {lowest}")
 
     x = images
     caches: dict[int, object] = {}
@@ -103,11 +85,11 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
 def backward(tape: Tape, labels: np.ndarray):
     """Gradients for trainable layers plus the scalar loss.
 
-    Raises StructuralError for an all-frozen tape: a child always has a
+    Raises InvariantError for an all-frozen tape: a child always has a
     trainable head, so asking for gradients without one is a contract bug.
     """
     if tape.lowest_trainable >= len(tape.path):
-        raise StructuralError("backward on an all-frozen path; a child always trains its head")
+        raise InvariantError("backward on an all-frozen path; a child always trains its head")
     loss, dy = softmax_xent(tape.logits, labels)
     grads: dict[int, dict[str, np.ndarray]] = {}
     for i in range(len(tape.path) - 1, tape.lowest_trainable - 1, -1):

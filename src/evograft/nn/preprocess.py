@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import StructuralError
+from ..errors import InvariantError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mutation import Genome
@@ -99,7 +99,7 @@ def preprocess(images: np.ndarray, cfg: Genome | None, train_mode: bool,
     if images.dtype != np.float32:
         images = images.astype(np.float32)
     if train_mode and (rng is None or cfg is None):
-        raise StructuralError("train-mode preprocessing requires an rng and a genome")
+        raise InvariantError("train-mode preprocessing requires an rng and a genome")
     b, h, w, c = images.shape
 
     if not train_mode:

@@ -155,7 +155,8 @@ def _read_blob(path: Path, sha256: str, config: LayerConfig, layer_id: str) -> t
 
 
 def load(directory) -> SystemState:
-    """Load a checkpoint and re-validate its layers, models and references.
+    """Load a checkpoint and re-validate its layers and, through
+    `SystemState.check_model`, each retained and pending model.
 
     Tasks come back with their data deferred (see `TaskSpec`): this checks only
     what needs no image, namely that each task entry's ACL and recipe make a

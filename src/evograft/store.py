@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .tasks import TaskSpec
 
 TrainedOn = tuple[tuple[str, int], ...]
+PATH_PREFIX = (LayerKind.PATCH_EMBEDDING, LayerKind.CLASS_TOKEN, LayerKind.POSITION_EMBEDDING)
 
 
 def _hash_tensors(h, names: Iterable[str], tensors: Mapping[str, np.ndarray]) -> None:
@@ -201,24 +202,34 @@ class SystemState:
         self.model_seq += 1
         return seq
 
-    def check_head_width(self, model: ModelRecord) -> None:
-        """A model of a registered task must end in a head with one output per class."""
+    def check_model(self, model: ModelRecord) -> None:
+        """Check a model where it enters the state, so nothing that runs it checks again:
+        its layers are stored, their kinds run patch embedding, class token, position
+        embedding, transformer*, head, each has the config the arch gives its kind (one
+        hidden dim, one token grid), a registered task's head has one output per class,
+        and `model_id` is the hash of the record."""
+        configs = [self.store.get(lid).config for lid in model.path]
+        kinds = [c.kind for c in configs]
+        if kinds != [*PATH_PREFIX, *[LayerKind.TRANSFORMER] * (len(kinds) - 4), LayerKind.HEAD]:
+            raise InvariantError(f"model {model.model_id} path kinds {[k.value for k in kinds]} are not "
+                                 "patch_embedding, class_token, position_embedding, transformer*, head")
+        for lid, c in zip(model.path, configs):
+            if c != self.arch.layer_config(c.kind, num_classes=c.num_classes):
+                raise InvariantError(f"model {model.model_id} layer {lid} config {c.to_dict()} differs from the arch")
         spec = self.tasks.get(model.task)
-        if spec is None:
-            return
-        width = self.store.get(model.path[-1]).config.num_classes
-        if width != spec.num_classes:
-            raise ValidationError(f"head for task {model.task!r} must have {spec.num_classes} outputs, got {width}")
+        if spec is not None and configs[-1].num_classes != spec.num_classes:
+            raise ValidationError(f"head for task {model.task!r} must have {spec.num_classes} outputs, "
+                                  f"got {configs[-1].num_classes}")
+        if model.model_id != ModelRecord.make_id(model.task, model.path, model.genome, model.parent,
+                                                 model.score, model.train_steps_done, model.created_seq):
+            raise InvariantError(f"model id {model.model_id} is not the hash of its record")
 
     def validate_references(self) -> None:
         models = list(self.retained_models.values())
         if self.pending is not None:
             models += self.pending.active_models
         for m in models:
-            for lid in m.path:
-                if lid not in self.store:
-                    raise InvariantError(f"model {m.model_id} references missing layer {lid}")
-            self.check_head_width(m)
+            self.check_model(m)
 
 
 def reachable_layers(state: SystemState) -> set[str]:

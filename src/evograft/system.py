@@ -34,6 +34,7 @@ def build_root_state(arch: ArchConfig, seed: int,
     state.retained_models[ROOT_TASK] = ModelRecord(
         model_id=model_id, task=ROOT_TASK, path=tuple(path), genome=genome, score=None,
         selection_counts={}, parent=None, train_steps_done=0, created_seq=seq)
+    state.check_model(state.retained_models[ROOT_TASK])
     return state
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError, ValidationError
 from .store import LayerRecord
-from .util import make_rng
+from .util import is_count, make_rng
 
 SPLITS = ("train", "validation", "test")
 ROOT_TASK = "root"  # the root model's task: reserved, it has no dataset and no ACL
@@ -193,7 +194,7 @@ def _binary_texture(patch: int, rng: np.random.Generator, existing: list[np.ndar
         rejected += 1
         if rejected == TEXTURE_DRAWS and (patch * patch > 16 or not _texture_fits(others, min_diff)):
             raise ConfigError(
-                f"found no {patch}x{patch} texture for class {len(existing)} that differs from "
+                f"num_classes: found no {patch}x{patch} texture for class {len(existing)} that differs from "
                 f"every earlier class in >= {min_diff} pixels ({TEXTURE_DRAWS} draws rejected); "
                 f"use fewer classes or a larger patch_size")
 
@@ -246,13 +247,19 @@ def _glyph_plan(num_classes: int, samples_per_class: int, noise: float, seed: in
     """Everything of a glyph task but its samples, with every check that rendering
     them implies: (rng, glyph table, labels per split).
 
+    This is the one owner of a synthetic recipe's checks, so `init` and a rebuild
+    from a manifest refuse the same recipes; each message starts with the field.
     The class-asset draw must run here, since only drawing finds out whether
     every class gets a texture; the rng comes back positioned after it.
     """
-    if num_classes < 2 or samples_per_class < 10:
-        raise ConfigError("need num_classes >= 2 and samples_per_class >= 10")
+    for field, value, least in (("num_classes", num_classes, 2), ("samples_per_class", samples_per_class, 10),
+                                ("seed", seed, 0), ("resolution", resolution, 1), ("patch_size", patch_size, 1)):
+        if not is_count(value, least):
+            raise ConfigError(f"{field}: must be an integer >= {least}")
+    if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0 <= noise < math.inf:
+        raise ConfigError("noise: must be a finite number >= 0")
     if resolution % patch_size != 0 or resolution // patch_size < 6:
-        raise ConfigError("resolution must be a multiple of patch_size with a grid of >= 6 cells")
+        raise ConfigError("resolution: must be a multiple of patch_size with a grid of >= 6 cells")
     grid = resolution // patch_size
     rng = make_rng(seed)
     textures, bands = _class_assets(num_classes, grid, patch_size, rng)

@@ -42,9 +42,9 @@ def derive_seed(*parts: Any) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def is_count(value: Any) -> bool:
-    """An int >= 1; bools are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def is_count(value: Any, least: int = 1) -> bool:
+    """An int >= least; bools are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,9 +11,25 @@ from evograft.nn.layers import init_params
 from evograft.store import LayerRecord, LayerStore
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 @pytest.fixture
 def arch():
     return ArchConfig()
+
+
+@pytest.fixture
+def evograft_cli():
+    """Run `python -m evograft.cli *args` in a fresh process, the entry point an
+    operator runs, with this checkout's `src` on the path and one BLAS thread.
+    Returns (exit code, stdout, stderr)."""
+    def run(*args):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-m", "evograft.cli", *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        return proc.returncode, proc.stdout, proc.stderr
+    return run
 
 
 def make_record(kind: LayerKind, arch: ArchConfig, seed: int = 0, creator: str = "root",

@@ -196,6 +196,10 @@ EVOLUTION = {"num_generations": 1, "children_per_generation": 2, "train_cycles":
     ("root.pth", {"root": {"mode": "load-checkpoint", "pth": "elsewhere"}}),
     # a task entry that cannot be built is named by its index
     ("tasks[0]", {"tasks": [{"type": "raw"}]}),
+    # a synthetic entry's field is named by its path, whether it is missing or cannot render
+    ("tasks[0].resolution", {"tasks": [{k: v for k, v in glyph_task("ta").items() if k != "resolution"}]}),
+    ("tasks[0].num_classes", {"tasks": [{**glyph_task("ta"), "num_classes": 1}]}),
+    ("tasks[0].noise", {"tasks": [{**glyph_task("ta"), "noise": float("nan")}]}),
     # a task entry takes its type's recipe fields and an acl, and a raw entry only path and name
     ("tasks[0].type", {"tasks": [{"type": "mystery", "name": "ta"}]}),
     ("tasks[0].alc", {"tasks": [{**glyph_task("ta"), "alc": {"mode": "private"}}]}),
@@ -213,11 +217,12 @@ def texture_case(entry):
     return {**entry, "num_classes": 3, "patch_size": 2, "resolution": 12}
 
 
-# entries `init` has always refused, and whose checks it keeps without rendering a sample
+# entries `init` refuses before it writes a file, with the checks rendering makes but no sample rendered
 @pytest.mark.parametrize("change", [
-    {"seed": "x"}, {"seed": 5.5}, {"noise": "x"},
+    {"seed": "x"}, {"seed": 5.5}, {"seed": True}, {"noise": "x"},
+    {"noise": -0.1}, {"noise": float("nan")}, {"noise": float("inf")},
     {"num_classes": 1}, {"num_classes": "5"}, {"num_classes": 5.0},
-    {"samples_per_class": 9},
+    {"samples_per_class": 9}, {"samples_per_class": 30.0}, {"samples_per_class": 30.5},
     {"resolution": 30}, {"resolution": 20}, {"resolution": 24.0}, {"patch_size": 4.0},
     texture_case,  # only the class-asset draw finds that no texture fits the third class
 ], ids=lambda c: "texture" if callable(c) else "-".join(f"{k}={v!r}" for k, v in c.items()))
@@ -230,9 +235,8 @@ def test_init_refuses_a_synthetic_entry_that_cannot_render(tmp_path, capsys, mon
     assert os.listdir(tmp_path) == ["config.json"]
 
 
-# entries `init` has always accepted; tightening them would be a change of its own
-@pytest.mark.parametrize("change", [{"seed": True}, {"noise": -0.1}, {"noise": 0},
-                                    {"samples_per_class": 30.0}],
+# an integer noise is a finite number >= 0
+@pytest.mark.parametrize("change", [{"noise": 0}],
                          ids=lambda c: "-".join(f"{k}={v!r}" for k, v in c.items()))
 def test_init_still_accepts_these_synthetic_entries(tmp_path, capsys, change):
     config, out = write_config(tmp_path, tasks=[{**glyph_task("ta"), **change}])
@@ -511,6 +515,19 @@ def test_replicated_run_writes_sibling_outputs_and_variance(tmp_path, capsys):
     assert capsys.readouterr().out == report
 
 
+def test_report_variance_builds_each_task_once(tmp_path, capsys, counted_builds):
+    config, out = write_config(tmp_path, tasks=[glyph_task("ta"), glyph_task("tb", seed=6)], replicas=3,
+                               schedule=[{"task": "ta"}, {"task": "tb"}])
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    capsys.readouterr()
+    counted_builds.clear()
+    assert main(["report", "variance", "--checkpoint", str(out)]) == 0
+    # the replicas' recipes are equal, so the three replicas share one build of each task
+    assert sorted(counted_builds) == [("ta", True), ("tb", True)]
+    assert capsys.readouterr().out == (out / "variance.json").read_text() + "\n"
+
+
 @pytest.mark.parametrize("replicas", [0, -1])
 def test_run_rejects_fewer_than_one_replica(tmp_path, capsys, replicas):
     config, out = write_config(tmp_path)
@@ -708,3 +725,40 @@ def test_a_changed_raw_dataset_stops_only_the_commands_that_read_it(tmp_path, ca
     assert error in capsys.readouterr().err
     assert (out / "reports" / "children.jsonl").read_text() == rows
     assert manifest_hash(out / "latest") == before
+
+
+def swap_class_token_and_position_embedding(model):
+    path = model["path"]
+    path[1], path[2] = path[2], path[1]
+
+
+def edit_score(model):
+    assert model["score"] < 1.0
+    model["score"] = 1.0  # the stored model_id hashes the old score
+
+
+def files_under(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("edit, error", [
+    (swap_class_token_and_position_embedding, "path kinds ['patch_embedding', 'position_embedding', 'class_token'"),
+    (edit_score, "is not the hash of its record"),
+], ids=["swapped-path", "stale-model-id"])
+def test_a_hand_edited_model_is_a_data_error_at_load(tmp_path, capsys, evograft_cli, edit, error):
+    config, out = write_config(tmp_path)
+    assert main(["init", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    commands = [["eval", "ta"], ["gc"], ["report", "params"]]
+    code, _, err = evograft_cli(*commands[-1], "--checkpoint", out)
+    assert code == 0, err
+    manifest = json.loads((out / "latest" / MANIFEST).read_text())
+    edit(manifest["retained_models"]["ta"])
+    (out / "latest" / MANIFEST).write_text(json.dumps(manifest))
+    files = files_under(tmp_path)
+
+    for command in commands:
+        code, stdout, err = evograft_cli(*command, "--checkpoint", out)
+        assert (code, stdout) == (3, ""), err
+        assert err.startswith("error: malformed manifest: ") and error in err
+    assert files_under(tmp_path) == files

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from evograft.errors import StructuralError
+from evograft.errors import InvariantError
 from evograft.nn import layers as L
 from evograft.nn.config import ArchConfig, LayerConfig, LayerKind
 from evograft.nn.layers import LN_EPS, _GELU_A, _GELU_C, _dense_bwd, _dense_fwd
@@ -272,5 +272,5 @@ def test_float64_input_stays_float64(param_dtype):
 def test_backward_refuses_dy_of_another_dtype():
     params, x, rng = make_case(1, 15)
     y, cache = L.forward(CFG, params, x)
-    with pytest.raises(StructuralError, match="dtype"):
+    with pytest.raises(InvariantError, match="dtype"):
         L.backward(CFG, params, cache, y.astype(np.float64), True, True)

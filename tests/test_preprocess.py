@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evograft.errors import StructuralError
+from evograft.errors import InvariantError
 from evograft.mutation import Genome
 from evograft.nn.preprocess import _batch_crop_resize, preprocess
 
@@ -37,10 +37,10 @@ class TestIdentityAndEval:
         np.testing.assert_allclose(out, 1.0)
 
     def test_train_mode_requires_rng(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(InvariantError):
             preprocess(np.zeros((1, 8, 8, 1), np.float32), Genome(),
                        train_mode=True, rng=None, resolution=8)
-        with pytest.raises(StructuralError):  # and a genome for the magnitudes
+        with pytest.raises(InvariantError):  # and a genome for the magnitudes
             preprocess(np.zeros((1, 8, 8, 1), np.float32), None,
                        train_mode=True, rng=np.random.default_rng(0), resolution=8)
 

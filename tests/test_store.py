@@ -103,10 +103,10 @@ class TestValidation:
         wide = make_record(LayerKind.HEAD, arch, creator="tiny", num_classes=10)
         state = build_state(arch, records + [wide], {})
         state.tasks["tiny"] = make_synthetic_glyph_task("tiny", 3, 10, 0.0, 1)
-        state.check_head_width(make_model("tiny", [r.id for r in records]))
+        state.check_model(make_model("tiny", [r.id for r in records]))
         bad = make_model("tiny", [r.id for r in records[:3]] + [wide.id])
         with pytest.raises(ValidationError, match="must have 3 outputs, got 10"):
-            state.check_head_width(bad)
+            state.check_model(bad)
         state.retained_models["tiny"] = bad
         with pytest.raises(ValidationError):
             state.validate_references()
@@ -270,3 +270,44 @@ class TestSystemState:
                                          active_models=[make_model("t", [extra.id], seq=5)])
         assert extra.id in reachable_layers(state)
         assert garbage_collect(state) == 0
+
+
+class TestCheckModel:
+    """A model is checked once, where it enters a state; the network runs it unchecked."""
+
+    def check(self, arch, records, path=None, model=None):
+        state = build_state(arch, records, {})
+        state.check_model(model or make_model("root", [r.id for r in (path or records)]))
+
+    def test_a_stripped_root_path_passes(self, arch):
+        self.check(arch, stripped_path_records(arch))
+
+    @pytest.mark.parametrize("order", [[1, 2, 3], [0, 2, 1, 3]], ids=["no-patch-embedding", "swapped-tokens"])
+    def test_wrong_prefix_rejected(self, arch, order):
+        records = stripped_path_records(arch)
+        with pytest.raises(InvariantError, match="path kinds"):
+            self.check(arch, records, [records[i] for i in order])
+
+    def test_missing_head_rejected(self, arch):
+        records = stripped_path_records(arch)
+        with pytest.raises(InvariantError, match="path kinds"):
+            self.check(arch, records, records[:-1])
+
+    def test_a_layer_of_another_hidden_dim_is_rejected(self, arch):
+        records = stripped_path_records(arch)
+        narrow = make_record(LayerKind.TRANSFORMER, ArchConfig(hidden_dim=16), seed=1)
+        with pytest.raises(InvariantError, match=f"layer {narrow.id} config .* differs from the arch"):
+            self.check(arch, records + [narrow], [*records[:3], narrow, records[3]])
+
+    def test_a_position_embedding_of_another_geometry_is_rejected(self, arch):
+        records = stripped_path_records(arch)
+        pos = make_record(LayerKind.POSITION_EMBEDDING, ArchConfig(image_resolution=16), seed=1)
+        assert pos.params["pos"].shape[1] == arch.hidden_dim  # only the token grid differs
+        with pytest.raises(InvariantError, match=f"layer {pos.id} config .* differs from the arch"):
+            self.check(arch, records + [pos], [*records[:2], pos, records[3]])
+
+    def test_a_stale_model_id_is_rejected(self, arch):
+        records = stripped_path_records(arch)
+        model = dataclasses.replace(make_model("root", [r.id for r in records]), score=0.75)
+        with pytest.raises(InvariantError, match=f"model id {model.model_id} is not the hash of its record"):
+            self.check(arch, records, model=model)
