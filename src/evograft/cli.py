@@ -50,16 +50,13 @@ def _load_config(path: str) -> dict:
 def _parse_arch(cfg: dict) -> ArchConfig:
     fields = cfg.get("arch", {})
     _expect(isinstance(fields, dict), "arch", "must be an object")
-    defaults = ArchConfig().to_dict()
-    _expect_known(fields, defaults, "arch.")
+    _expect_known(fields, ArchConfig.__dataclass_fields__, "arch.")
     for key, value in fields.items():
         _expect(is_count(value), f"arch.{key}", "must be a positive integer")
-    arch = ArchConfig.from_dict({**defaults, **fields})
-    try:
-        arch.validate()
+    try:  # the fields left out keep their defaults
+        return ArchConfig(**fields)
     except ValidationError as exc:
         raise ConfigError(f"arch: {exc}") from exc
-    return arch
 
 
 def _parse_experiment(cfg: dict):
@@ -106,9 +103,8 @@ def _parse_experiment(cfg: dict):
     for key in ("num_generations", "children_per_generation", "train_cycles", "samples_cap"):
         _expect(key in evo, f"evolution.{key}", "required")
     _expect_known(evo, EvolutionConfig.__dataclass_fields__, "evolution.")
-    econfig = EvolutionConfig.from_dict(evo)
     try:
-        econfig.validate()
+        econfig = EvolutionConfig.from_dict(evo)
     except ConfigError as exc:
         raise ConfigError(f"evolution.{exc}") from exc
     replicas = cfg.get("replicas", 1)
@@ -121,7 +117,7 @@ def _task_spec(index: int, entry: dict) -> TaskSpec:
         acl = AccessPolicy.from_dict(entry.get("acl", {"mode": "public"}))
         recipe = {k: v for k, v in entry.items() if k != "acl"}
         spec = plan_task(recipe, acl)
-    except ConfigError as exc:  # a synthetic recipe's checks name the field
+    except ConfigError as exc:  # a synthetic recipe's and the ACL's checks name the field
         raise ConfigError(f"tasks[{index}].{exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"tasks[{index}]: {exc!r}") from exc
@@ -177,7 +173,11 @@ def cmd_init(args) -> int:
     else:
         state = build_root_state(arch, int(cfg.get("seed", 0)), space=space)
     for i, entry in enumerate(tasks):
-        register_task(state, _task_spec(i, entry))
+        spec = _task_spec(i, entry)
+        try:
+            register_task(state, spec)
+        except ConfigError as exc:
+            raise ConfigError(f"tasks[{i}]: {exc}") from exc
     _check_schedule(schedule, state)
     _check_retained(state, space)
     out = Path(cfg["output_dir"]) / "latest"
@@ -233,7 +233,6 @@ def cmd_run(args) -> int:
     summary = {"replicas": replicas, "test_accuracy": accuracies}
     if replicas > 1:
         summary["variance"] = accounting.variance_summary(accuracies, samples_per_class)
-        (out_root / "variance.json").write_text(canonical_json(summary["variance"]))
     print(canonical_json(summary))
     return 0
 

@@ -48,7 +48,7 @@ class EvolutionConfig:
     batch_size: int = 16
     allow_insert: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Counts must be ints >= 1 and allow_insert a bool; each message starts with the field name."""
         for name in ("num_generations", "children_per_generation", "train_cycles",
                      "samples_cap", "batch_size"):
@@ -293,7 +293,6 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
 
     `workers` threads train each generation's children (one: this thread); results do not depend on it.
     """
-    cfg.validate()
     space = space or SearchSpace.default()
     if task_name not in state.tasks:
         raise ConfigError(f"task {task_name!r} is not registered")

@@ -90,7 +90,7 @@ class SearchSpace:
         for name in ("learning_rate", "warmup_ratio", "momentum"):
             for value in self.values[name]:
                 try:
-                    replace(base, **{name: value}).validate()
+                    replace(base, **{name: value})
                 except (TypeError, ValidationError) as exc:
                     raise ConfigError(f"search space value {value!r} for {name!r}: {exc}") from exc
 

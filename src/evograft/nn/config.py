@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from ..errors import ValidationError
@@ -18,7 +18,7 @@ class LayerKind(str, Enum):
 
 @dataclass(frozen=True)
 class LayerConfig:
-    """Geometry of one layer. Only the fields relevant to `kind` are set."""
+    """Geometry of one layer. Only the fields relevant to `kind` are set, and building one checks them."""
 
     kind: LayerKind
     hidden_dim: int
@@ -29,7 +29,7 @@ class LayerConfig:
     channels: int | None = None
     num_classes: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.hidden_dim <= 0:
             raise ValidationError(f"hidden_dim must be positive, got {self.hidden_dim}")
         k = self.kind
@@ -57,8 +57,6 @@ class LayerConfig:
     @property
     def num_tokens(self) -> int:
         """Sequence length after the class token is prepended."""
-        if not (self.patch_size and self.image_resolution):
-            raise ValidationError(f"{self.kind} has no token geometry")
         return (self.image_resolution // self.patch_size) ** 2 + 1
 
     def to_dict(self) -> dict:
@@ -109,22 +107,17 @@ class ArchConfig:
             return LayerConfig(kind, self.hidden_dim, num_classes=num_classes)
         raise ValidationError(f"unknown layer kind {kind}")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Every layer kind's config must pass its checks, so any clone or insert can build."""
         for kind in LayerKind:
-            self.layer_config(kind, num_classes=1).validate()
+            self.layer_config(kind, num_classes=1)
 
     def to_dict(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim, "num_heads": self.num_heads, "mlp_dim": self.mlp_dim,
-            "patch_size": self.patch_size, "image_resolution": self.image_resolution,
-            "channels": self.channels,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
-        return cls(**{k: int(d[k]) for k in
-                      ("hidden_dim", "num_heads", "mlp_dim", "patch_size", "image_resolution", "channels")})
+        return cls(**{k: int(d[k]) for k in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,7 @@ class OptimizerConfig:
     total_steps: int
     clip_norm: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.learning_rate <= 0 or not (0 < self.warmup_ratio < 1):
             raise ValidationError("learning_rate must be > 0 and warmup_ratio in (0,1)")
         if not (0 <= self.momentum < 1) or self.clip_norm <= 0 or self.total_steps <= 0:

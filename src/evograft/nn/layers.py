@@ -32,7 +32,6 @@ _GELU_A = 0.044715
 def param_shapes(cfg: LayerConfig) -> dict[str, tuple[int, ...]]:
     """Expected tensor shapes for a layer, in the canonical tensor order that
     hashing and serialization iterate; the store validates inserts against this."""
-    cfg.validate()
     d = cfg.hidden_dim
     k = cfg.kind
     if k == LayerKind.PATCH_EMBEDDING:

@@ -207,7 +207,7 @@ def load(directory) -> SystemState:
                 trained_on=[(t, int(s)) for t, s in entry["trained_on"]],
                 creator_task=entry["creator_task"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataError(f"malformed manifest entry for layer {lid}: {exc!r}") from exc
         if record.id != lid:
             raise DataError(f"layer {lid} content hash changed on disk (got {record.id})")
@@ -237,8 +237,11 @@ def load(directory) -> SystemState:
             model_seq=int(manifest["model_seq"]),
             pending=pending,
         )
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, ConfigError, ValidationError) as exc:
+        raise DataError(f"malformed manifest: {exc!r}") from exc
+    try:  # apart from the block above, so a head whose width disagrees with its task stays a ValidationError
         state.validate_references()
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError, InvariantError) as exc:
+    except (TypeError, ValueError, InvariantError) as exc:
         raise DataError(f"malformed manifest: {exc!r}") from exc
     return state
 

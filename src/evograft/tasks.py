@@ -56,8 +56,10 @@ class AccessPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AccessPolicy":
-        mode = AccessMode(d["mode"])
-        return cls(mode=mode, group=frozenset(d.get("group", ())))
+        try:
+            return cls(mode=AccessMode(d["mode"]), group=frozenset(d.get("group", ())))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"acl: {exc!r}") from exc
 
 
 @dataclass
@@ -111,7 +113,7 @@ class TaskSpec:
         if self.num_classes < 2:
             raise ValidationError(f"task {self.name!r} needs >= 2 classes")
         if acl.mode == AccessMode.GROUP and self.name not in acl.group:
-            raise ValidationError(f"group policy of {self.name!r} must include it")
+            raise ConfigError(f"acl: group policy of {self.name!r} must include it")
         if splits is not None:
             self._check_splits(splits)
         self._splits = splits

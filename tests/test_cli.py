@@ -204,6 +204,13 @@ EVOLUTION = {"num_generations": 1, "children_per_generation": 2, "train_cycles":
     ("tasks[0].type", {"tasks": [{"type": "mystery", "name": "ta"}]}),
     ("tasks[0].alc", {"tasks": [{**glyph_task("ta"), "alc": {"mode": "private"}}]}),
     ("tasks[0].seed", {"tasks": [{"type": "raw", "path": "ds", "name": "ta", "seed": 5}]}),
+    # an ACL is named by its path, whether its mode is unknown or its group leaves out its task
+    ("tasks[0].acl", {"tasks": [{**glyph_task("ta"), "acl": {"mode": "secret"}}]}),
+    ("tasks[0].acl", {"tasks": [{**glyph_task("ta"), "acl": {"mode": "group", "group": ["tb"]}}]}),
+    # an entry the system cannot register is named by its index
+    ("tasks[0]", {"tasks": [glyph_task("root")]}),
+    ("tasks[1]", {"tasks": [glyph_task("ta"), glyph_task("ta", seed=6)]}),
+    ("tasks[0]", {"arch": {**ARCH, "channels": 3}}),
 ])
 def test_init_rejects_bad_counts(tmp_path, capsys, monkeypatch, field, overrides):
     monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
@@ -211,6 +218,20 @@ def test_init_rejects_bad_counts(tmp_path, capsys, monkeypatch, field, overrides
     assert main(["init", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+# the process an operator starts: a bad value exits 2 naming its field, before output_dir exists
+@pytest.mark.parametrize("field, overrides", [
+    ("arch", {"arch": {**ARCH, "hidden_dim": 33}}),
+    ("evolution.batch_size", {"evolution": {**EVOLUTION, "batch_size": 0}}),
+    ("tasks[0].acl", {"tasks": [{**glyph_task("ta"), "acl": {"mode": "group", "group": ["tb"]}}]}),
+])
+def test_init_process_refuses_a_bad_value(tmp_path, evograft_cli, field, overrides):
+    config, out = write_config(tmp_path, **overrides)
+    code, stdout, err = evograft_cli("init", "--config", config)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {field}: ")
+    assert not out.exists()
 
 
 def texture_case(entry):
@@ -494,17 +515,16 @@ def test_replicated_run_writes_sibling_outputs_and_variance(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--config", str(config)]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert sorted(os.listdir(out)) == ["latest", "replica_0", "replica_1", "variance.json"]
+    assert sorted(os.listdir(out)) == ["latest", "replica_0", "replica_1"]
     assert manifest_hash(out / "latest") == init_hash  # replicas load it, never write it
     seeds = {load(out / f"replica_{r}" / "latest").rng_seed for r in (0, 1)}
     assert len(seeds | {load(out / "latest").rng_seed}) == 3
     for r in (0, 1):
         assert os.listdir(out / f"replica_{r}" / "reports") == ["children.jsonl"]
 
-    variance = json.loads((out / "variance.json").read_text())
+    variance = summary["variance"]
     assert variance["per_task"]["ta"]["replicas"] == 2
     assert variance["per_task"]["ta"]["std"] is not None
-    assert summary["variance"] == variance
     assert len(summary["test_accuracy"]["ta"]) == 2
     assert main(["report", "variance", "--checkpoint", str(out)]) == 0
     report = capsys.readouterr().out
@@ -519,13 +539,14 @@ def test_report_variance_builds_each_task_once(tmp_path, capsys, counted_builds)
     config, out = write_config(tmp_path, tasks=[glyph_task("ta"), glyph_task("tb", seed=6)], replicas=3,
                                schedule=[{"task": "ta"}, {"task": "tb"}])
     assert main(["init", "--config", str(config)]) == 0
-    assert main(["run", "--config", str(config)]) == 0
     capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 0
+    summary = json.loads(capsys.readouterr().out)
     counted_builds.clear()
     assert main(["report", "variance", "--checkpoint", str(out)]) == 0
     # the replicas' recipes are equal, so the three replicas share one build of each task
     assert sorted(counted_builds) == [("ta", True), ("tb", True)]
-    assert capsys.readouterr().out == (out / "variance.json").read_text() + "\n"
+    assert json.loads(capsys.readouterr().out) == summary["variance"]
 
 
 @pytest.mark.parametrize("replicas", [0, -1])

@@ -127,6 +127,21 @@ def tiny_cfg(**kw):
     return EvolutionConfig(**base)
 
 
+# a config checks itself when built, so no caller has a check to forget
+@pytest.mark.parametrize("error, message, build", [
+    (eg.ValidationError, "hidden_dim 32 not divisible by num_heads 3",
+     lambda: eg.LayerConfig(eg.LayerKind.TRANSFORMER, 32, num_heads=3, mlp_dim=64)),
+    (eg.ValidationError, "hidden_dim 33 not divisible by num_heads 2", lambda: eg.ArchConfig(hidden_dim=33)),
+    (eg.ValidationError, "momentum in", lambda: eg.OptimizerConfig(
+        learning_rate=0.01, warmup_ratio=0.1, momentum=1.0, nesterov=False, total_steps=10)),
+    (ConfigError, "batch_size: must be a positive integer", lambda: tiny_cfg(batch_size=0)),
+    (ConfigError, "batch_size: must be a positive integer", lambda: dataclasses.replace(tiny_cfg(), batch_size=0)),
+], ids=["layer", "arch", "optimizer", "evolution", "evolution-replaced"])
+def test_a_config_that_fails_its_checks_cannot_be_built(error, message, build):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestTrainChild:
     def test_child_below_parent_threshold_is_pruned(self):
         state = tiny_system()

@@ -218,7 +218,9 @@ class TestFailureModes:
     @pytest.mark.parametrize("field,value", [
         ("config", {"kind": "dense_blok", "hidden_dim": 32}), ("trained_on", None), ("trained_on", 5),
         ("config", {"kind": "head", "hidden_dim": "wide"}), ("file", "other.bin"),
-    ], ids=["unknown-kind", "missing-key", "wrong-type", "bad-config", "foreign-blob-name"])
+        ("config", {"kind": "transformer", "hidden_dim": 32, "num_heads": 3, "mlp_dim": 64}),
+    ], ids=["unknown-kind", "missing-key", "wrong-type", "bad-config", "foreign-blob-name",
+            "heads-not-dividing-hidden-dim"])
     def test_malformed_layer_entry_is_a_data_error(self, tmp_path, field, value):
         state = built_state(evolved=False)
         save(state, tmp_path / "ck")
@@ -242,6 +244,11 @@ class TestFailureModes:
         lambda m: m["retained_models"]["root"]["genome"].pop("mu"),
         lambda m: m.update(rng_seed=None),
         lambda m: m.update(pending={"generation_done": 0, "econfig": {}, "active_models": []}),
+        # stored configs that fail their constructors' checks; the arch's bad kind, the transformer, is on no path
+        lambda m: m.update(pending={"task": "ta", "generation_done": 0, "active_models": [], "econfig": {
+            "num_generations": 1, "children_per_generation": 2, "train_cycles": 2, "samples_cap": 48,
+            "batch_size": 0, "allow_insert": True}}),
+        lambda m: m["arch"].update(num_heads=3),
         lambda m: m["retained_models"]["root"]["path"].__setitem__(0, "0" * 64),
         lambda m: m["retained_models"].update(ta=dict(m["retained_models"]["root"], task="ta", path=[])),
         lambda m: m.update(tasks=list(m["tasks"].values())),
@@ -249,7 +256,8 @@ class TestFailureModes:
         lambda m: m["tasks"].update(x=m["tasks"].pop("ta")),
         _wrap_in_list,
     ], ids=["missing-arch", "bad-hidden-dim", "missing-retained-models", "retained-models-list",
-            "missing-genome", "missing-mu", "null-rng-seed", "pending-without-task", "absent-layer",
+            "missing-genome", "missing-mu", "null-rng-seed", "pending-without-task",
+            "pending-batch-size-0", "arch-heads-not-dividing-hidden-dim", "absent-layer",
             "empty-path", "tasks-list", "layers-list", "task-key-not-recipe-name", "top-level-list"])
     def test_malformed_manifest_is_a_data_error(self, tmp_path, edit):
         state = built_state(evolved=False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evograft import tasks
-from evograft.errors import ConfigError, DataError, InvariantError, ValidationError
+from evograft.errors import ConfigError, DataError, InvariantError
 from evograft.nn.config import LayerKind
 from evograft.tasks import (SPLITS, AccessMode, AccessPolicy, Dataset, TaskSpec, _class_assets,
                             acl_allows, build_task, load_raw_dataset, make_synthetic_glyph_task,
@@ -230,7 +230,7 @@ class TestAcl:
                 assert acl_allows(consumer, src, reg)
 
     def test_group_policy_must_include_owner(self):
-        with pytest.raises(ValidationError, match="group policy of 'g' must include it"):
+        with pytest.raises(ConfigError, match="acl: group policy of 'g' must include it"):
             make_synthetic_glyph_task("g", 10, 20, 0.0, 1,
                                       acl=AccessPolicy(AccessMode.GROUP, frozenset({"other"})))
 
