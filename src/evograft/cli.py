@@ -211,6 +211,7 @@ def cmd_run(args) -> int:
     samples_per_class: dict[str, int] = {}
     first = persistence.load(latest)
     _check_schedule(schedule, first)
+    _check_retained(first, space)
     # build the data of every task this run trains or scores before any child
     # trains, so a changed dataset stops the run before it writes anything
     for t in sorted((set(iterations) | set(first.retained_models)) & set(first.tasks)):

@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .mutation import ChildModel, SearchSpace, WorkLayer, apply_mutations, sample_mutations
 from .nn.config import LayerKind
-from .nn.network import PathLayer, backward, forward, run_prefix
+from .nn.network import PathLayer, backward, forward, run
 from .nn.optim import sgd_step
 from .nn.preprocess import preprocess
 from .store import (LayerRecord, LayerStore, ModelRecord, PendingIteration, SystemState,
@@ -79,29 +79,21 @@ def materialize_path(entries: Iterable[str | WorkLayer], store: LayerStore) -> l
     return layers
 
 
-def lowest_trainable(path: list[PathLayer]) -> int:
-    return next(i for i, pl in enumerate(path) if pl.trainable)
-
-
-def _eval_chunks(path: list[PathLayer], task: TaskSpec, split: str, stop: int) -> Iterator[np.ndarray]:
-    """For each EVAL_BATCH chunk of the split, in order: the activations entering
-    path[stop], after eval-mode preprocessing (which depends only on the resolution)."""
-    ds = task.splits[split]
-    resolution = path[0].config.image_resolution
-    for start in range(0, len(ds), EVAL_BATCH):
-        images, _ = ds.batch(np.arange(start, min(start + EVAL_BATCH, len(ds))))
-        x = preprocess(images, None, train_mode=False, rng=None, resolution=resolution)
-        yield run_prefix(path, x, stop)
-
-
 def frozen_inputs(path: list[PathLayer], task: TaskSpec, split: str,
                   stop: int) -> tuple[int, list[np.ndarray]]:
     """(stop, chunks) for `score_path`: the read-only activations entering path[stop],
-    one array per EVAL_BATCH chunk. They hold for every path with the same
-    path[:stop] layers and resolution."""
-    chunks = list(_eval_chunks(path, task, split, stop))
-    for chunk in chunks:
-        chunk.setflags(write=False)
+    one array per EVAL_BATCH chunk of the split, in order, after eval-mode
+    preprocessing. They hold for every path with the same path[:stop] layers and
+    resolution; with stop = len(path) they are the path's logits."""
+    ds = task.splits[split]
+    resolution = path[0].config.image_resolution
+    chunks = []
+    for start in range(0, len(ds), EVAL_BATCH):
+        images, _ = ds.batch(np.arange(start, min(start + EVAL_BATCH, len(ds))))
+        x = run(path[:stop], preprocess(images, None, train_mode=False, rng=None,
+                                        resolution=resolution))
+        x.setflags(write=False)
+        chunks.append(x)
     return stop, chunks
 
 
@@ -112,12 +104,11 @@ def score_path(path: list[PathLayer], task: TaskSpec, split: str,
     Given `inputs` from `frozen_inputs(path, task, split, start)`, only path[start:]
     runs, on the same chunks, so the score is the same to the bit.
     """
-    path = [PathLayer(pl.config, pl.params) for pl in path]  # frozen: forward keeps no tape
-    start, chunks = inputs or (0, _eval_chunks(path, task, split, 0))
+    start, chunks = inputs or frozen_inputs(path, task, split, len(path))
     labels = task.splits[split].labels
     correct = 0
     for i, x in enumerate(chunks):
-        logits = forward(path, x, start).logits
+        logits = run(path[start:], x)
         correct += int((logits.argmax(axis=1) == labels[i * EVAL_BATCH:(i + 1) * EVAL_BATCH]).sum())
     return correct / len(labels)
 
@@ -196,7 +187,7 @@ def train_child(child: ChildModel, task: TaskSpec, cfg: EvolutionConfig,
     train_ds = task.splits["train"]
     resolution = path[0].config.image_resolution
     if val_inputs is None:
-        val_inputs = frozen_inputs(path, task, "validation", lowest_trainable(path))
+        val_inputs = frozen_inputs(path, task, "validation", work[0][0])
     n_cycle = cycle_sample_count(len(train_ds), cfg.samples_cap)
     steps_per_cycle = math.ceil(n_cycle / cfg.batch_size)
     opt_cfg = child.genome.optimizer_config(total_steps=cfg.train_cycles * steps_per_cycle)
@@ -331,10 +322,10 @@ def run_task_iteration(state: SystemState, task_name: str, cfg: EvolutionConfig,
         # thread before any child trains; the pool only reads them.
         val_inputs, child_inputs = {}, []
         for _, child, _, _ in planned:
-            path = materialize_path(child.entries, state.store)
-            stop = lowest_trainable(path)
-            key = (path[0].config.image_resolution, tuple(child.entries[:stop]))
+            stop = child.work_layers()[0][0]
+            key = tuple(child.entries[:stop])  # check_model gives every path the arch's resolution
             if key not in val_inputs:
+                path = materialize_path(child.entries, state.store)
                 val_inputs[key] = frozen_inputs(path, task, "validation", stop)
             child_inputs.append(val_inputs[key])
 

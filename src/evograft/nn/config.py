@@ -30,6 +30,10 @@ class LayerConfig:
     num_classes: int | None = None
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "kind", LayerKind(self.kind))
+        except ValueError:
+            raise ValidationError(f"unknown layer kind {self.kind!r}") from None
         if self.hidden_dim <= 0:
             raise ValidationError(f"hidden_dim must be positive, got {self.hidden_dim}")
         k = self.kind
@@ -60,25 +64,13 @@ class LayerConfig:
         return (self.image_resolution // self.patch_size) ** 2 + 1
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind.value, "hidden_dim": self.hidden_dim}
-        for f in ("num_heads", "mlp_dim", "patch_size", "image_resolution", "channels", "num_classes"):
-            v = getattr(self, f)
-            if v is not None:
-                d[f] = v
+        d = {f: getattr(self, f) for f in self.__dataclass_fields__ if getattr(self, f) is not None}
+        d["kind"] = self.kind.value
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerConfig":
-        return cls(
-            kind=LayerKind(d["kind"]),
-            hidden_dim=int(d["hidden_dim"]),
-            num_heads=d.get("num_heads"),
-            mlp_dim=d.get("mlp_dim"),
-            patch_size=d.get("patch_size"),
-            image_resolution=d.get("image_resolution"),
-            channels=d.get("channels"),
-            num_classes=d.get("num_classes"),
-        )
+        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
 @dataclass(frozen=True)

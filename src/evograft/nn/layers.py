@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ..errors import InvariantError, ValidationError
+from ..errors import InvariantError
 from .config import LayerConfig, LayerKind
 
 LN_EPS = 1e-6
@@ -49,9 +49,8 @@ def param_shapes(cfg: LayerConfig) -> dict[str, tuple[int, ...]]:
             "ln2_gamma": (d,), "ln2_beta": (d,),
             "mlp_w1": (d, m), "mlp_b1": (m,), "mlp_w2": (m, d), "mlp_b2": (d,),
         }
-    if k == LayerKind.HEAD:
-        return {"w": (d, cfg.num_classes), "b": (cfg.num_classes,)}
-    raise ValidationError(f"unknown layer kind {k}")
+    # LayerKind.HEAD: LayerConfig admits no other kind
+    return {"w": (d, cfg.num_classes), "b": (cfg.num_classes,)}
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -213,12 +212,10 @@ def forward(cfg: LayerConfig, params: dict, x: np.ndarray):
     if k == LayerKind.TRANSFORMER:
         return _transformer_fwd(cfg, params, x)
 
-    if k == LayerKind.HEAD:
-        pooled = x.mean(axis=1)
-        logits = _dense_fwd(pooled, params["w"], params["b"])
-        return logits, (pooled, x.shape[1])
-
-    raise ValidationError(f"unknown layer kind {k}")
+    # LayerKind.HEAD
+    pooled = x.mean(axis=1)
+    logits = _dense_fwd(pooled, params["w"], params["b"])
+    return logits, (pooled, x.shape[1])
 
 
 def backward(cfg: LayerConfig, params: dict, cache, dy: np.ndarray,
@@ -247,18 +244,16 @@ def backward(cfg: LayerConfig, params: dict, cache, dy: np.ndarray,
     if k == LayerKind.TRANSFORMER:
         return _transformer_bwd(cfg, params, cache, dy, want_param_grads, want_dx)
 
-    if k == LayerKind.HEAD:
-        pooled, t_len = cache
-        dparams = None
-        if want_param_grads:
-            dparams = {"w": pooled.T @ dy, "b": dy.sum(0)}
-        dx = None
-        if want_dx:
-            dpooled = dy @ params["w"].T
-            dx = np.repeat(dpooled[:, None, :] / t_len, t_len, axis=1)
-        return dparams, dx
-
-    raise ValidationError(f"unknown layer kind {k}")
+    # LayerKind.HEAD
+    pooled, t_len = cache
+    dparams = None
+    if want_param_grads:
+        dparams = {"w": pooled.T @ dy, "b": dy.sum(0)}
+    dx = None
+    if want_dx:
+        dpooled = dy @ params["w"].T
+        dx = np.repeat(dpooled[:, None, :] / t_len, t_len, axis=1)
+    return dparams, dx
 
 
 def _transformer_fwd(cfg: LayerConfig, params: dict, x: np.ndarray):

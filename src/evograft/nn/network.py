@@ -1,8 +1,8 @@
-"""Whole-path execution: forward with an activation tape, backward to trainable layers only.
+"""Whole-path execution: the training pass (forward with an activation tape,
+backward to trainable layers only) and the untaped `run` that evaluation uses.
 
 Frozen layers transmit gradients but never receive parameter gradients; layers
-below the deepest trainable layer are not taped at all, so evaluation of a
-fully frozen path carries no backward state.
+below the lowest trainable layer are not taped at all.
 """
 
 from __future__ import annotations
@@ -39,31 +39,25 @@ class Tape:
     lowest_trainable: int  # len(path) if nothing trains
 
 
-def forward(path: list[PathLayer], images: np.ndarray, start: int = 0) -> Tape:
-    """Run path[start:] on a batch; tape only what backward will need.
+def forward(path: list[PathLayer], images: np.ndarray) -> Tape:
+    """The training pass: run the path on a batch, taping only what backward will need.
 
-    With start > 0, `images` are the activations entering path[start], as
-    `run_prefix(path, images, start)` gives them; the layers below must be frozen.
     The path's structure is not checked here: `SystemState.check_model` owns that.
     """
     trainable_idx = [i for i, pl in enumerate(path) if pl.trainable]
     lowest = trainable_idx[0] if trainable_idx else len(path)
-    if start > lowest:
-        raise InvariantError(f"forward from layer {start} skips trainable layer {lowest}")
-
     x = images
     caches: dict[int, object] = {}
-    for i in range(start, len(path)):
-        x, cache = L.forward(path[i].config, path[i].params, x)
+    for i, pl in enumerate(path):
+        x, cache = L.forward(pl.config, pl.params, x)
         if i >= lowest:
             caches[i] = cache
     return Tape(path=list(path), caches=caches, logits=x, lowest_trainable=lowest)
 
 
-def run_prefix(path: list[PathLayer], images: np.ndarray, stop: int) -> np.ndarray:
-    """The activations entering path[stop]: path[:stop] run on a batch, untaped."""
-    x = images
-    for pl in path[:stop]:
+def run(layers: list[PathLayer], x: np.ndarray) -> np.ndarray:
+    """Run layers in order on a batch, untaped whatever their `trainable` flags."""
+    for pl in layers:
         x, _ = L.forward(pl.config, pl.params, x)
     return x
 

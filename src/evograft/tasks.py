@@ -57,7 +57,10 @@ class AccessPolicy:
     @classmethod
     def from_dict(cls, d: dict) -> "AccessPolicy":
         try:
-            return cls(mode=AccessMode(d["mode"]), group=frozenset(d.get("group", ())))
+            mode, group = AccessMode(d["mode"]), d.get("group", [])
+            if not isinstance(group, list) or not all(isinstance(t, str) for t in group):
+                raise TypeError(f"group must be a list of task names, got {group!r}")
+            return cls(mode=mode, group=frozenset(group))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"acl: {exc!r}") from exc
 

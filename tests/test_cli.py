@@ -211,6 +211,9 @@ EVOLUTION = {"num_generations": 1, "children_per_generation": 2, "train_cycles":
     ("tasks[0]", {"tasks": [glyph_task("root")]}),
     ("tasks[1]", {"tasks": [glyph_task("ta"), glyph_task("ta", seed=6)]}),
     ("tasks[0]", {"arch": {**ARCH, "channels": 3}}),
+    # a group is a list of task names: a string is not read as its letters
+    ("tasks[0].acl", {"tasks": [{**glyph_task("a"), "acl": {"mode": "group", "group": "ab"}}],
+                      "schedule": [{"task": "a"}]}),
 ])
 def test_init_rejects_bad_counts(tmp_path, capsys, monkeypatch, field, overrides):
     monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
@@ -431,6 +434,22 @@ def test_init_rejects_a_loaded_genome_outside_the_search_space(tmp_path, capsys)
     assert main(["init", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: search_space: ") and "'root'" in err and "mu=" in err
+    assert os.listdir(out) == ["latest"] and manifest_hash(out / "latest") == before
+
+
+def test_run_rejects_a_retained_genome_outside_the_search_space(tmp_path, evograft_cli):
+    config, out = write_config(tmp_path)
+    assert evograft_cli("init", "--config", config)[0] == 0
+    before = manifest_hash(out / "latest")
+    lr = load(out / "latest").retained_models["root"].genome.learning_rate
+    table = _shipped_table()
+    table["learning_rate"] = {"values": [v for v in table["learning_rate"]["values"] if v != lr]}
+    table["learning_rate"]["default"] = table["learning_rate"]["values"][0]
+    (tmp_path / "space.json").write_text(json.dumps(table))
+    config, _ = write_config(tmp_path, search_space=str(tmp_path / "space.json"))
+    code, stdout, err = evograft_cli("run", "--config", config)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: search_space: ") and "'root'" in err and "learning_rate=" in err
     assert os.listdir(out) == ["latest"] and manifest_hash(out / "latest") == before
 
 

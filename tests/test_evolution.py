@@ -12,7 +12,7 @@ from evograft.errors import ConfigError, InvariantError
 from evograft.evolution import (EvolutionConfig, draw_parent, run_task_iteration, sample_parent,
                                 score_model, train_child)
 from evograft.mutation import Genome, MutationSet, SearchSpace, apply_mutations
-from evograft.nn.network import PathLayer, forward
+from evograft.nn.network import forward, run
 from evograft.persistence import manifest_hash, save
 from evograft.store import ModelRecord
 from evograft.system import build_root_state, register_task
@@ -131,15 +131,23 @@ def tiny_cfg(**kw):
 @pytest.mark.parametrize("error, message, build", [
     (eg.ValidationError, "hidden_dim 32 not divisible by num_heads 3",
      lambda: eg.LayerConfig(eg.LayerKind.TRANSFORMER, 32, num_heads=3, mlp_dim=64)),
+    (eg.ValidationError, "unknown layer kind 'bogus'", lambda: eg.LayerConfig("bogus", 4)),
     (eg.ValidationError, "hidden_dim 33 not divisible by num_heads 2", lambda: eg.ArchConfig(hidden_dim=33)),
     (eg.ValidationError, "momentum in", lambda: eg.OptimizerConfig(
         learning_rate=0.01, warmup_ratio=0.1, momentum=1.0, nesterov=False, total_steps=10)),
     (ConfigError, "batch_size: must be a positive integer", lambda: tiny_cfg(batch_size=0)),
     (ConfigError, "batch_size: must be a positive integer", lambda: dataclasses.replace(tiny_cfg(), batch_size=0)),
-], ids=["layer", "arch", "optimizer", "evolution", "evolution-replaced"])
+], ids=["layer", "layer-kind", "arch", "optimizer", "evolution", "evolution-replaced"])
 def test_a_config_that_fails_its_checks_cannot_be_built(error, message, build):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_a_layer_config_built_from_a_kind_name_holds_its_layer_kind():
+    config = eg.LayerConfig("transformer", 32, num_heads=2, mlp_dim=64)
+    assert config.kind is eg.LayerKind.TRANSFORMER
+    assert config.to_dict() == {"kind": "transformer", "hidden_dim": 32, "num_heads": 2, "mlp_dim": 64}
+    assert eg.LayerConfig.from_dict(config.to_dict()) == config
 
 
 class TestTrainChild:
@@ -268,8 +276,7 @@ class TestScoring:
         sigma = math.sqrt((1 / 6) * (5 / 6) / n)
         assert abs(acc - 1 / 6) <= 3 * sigma + 1e-9
 
-    def test_validation_runs_a_frozen_view_of_a_trainable_path(self, monkeypatch):
-        from evograft import evolution
+    def test_scoring_a_trainable_path_builds_no_tape(self, monkeypatch):
         state = tiny_system()
         task = state.tasks["ta"]
         root = state.retained_models["root"]
@@ -278,17 +285,13 @@ class TestScoring:
         child = apply_mutations(root, delta, state.store, np.random.default_rng(3), task)
         path = evolution.materialize_path(child.entries, state.store)
         assert [pl.trainable for pl in path] == [True, False, True, True, True]
-        untaped = evolution.score_path(path, task, "validation")
+        expected = evolution.score_path(path, task, "validation")
 
-        network_forward, received = evolution.forward, []
+        def no_tape(layers, images):
+            raise AssertionError("scoring ran the training pass")
 
-        def taped_forward(layers, images, start=0):
-            received.append([pl.trainable for pl in layers])
-            return network_forward(path, images, start)  # the path as given, taped from its first layer
-
-        monkeypatch.setattr(evolution, "forward", taped_forward)
-        assert evolution.score_path(path, task, "validation") == untaped
-        assert received and not any(any(flags) for flags in received)
+        monkeypatch.setattr(evolution, "forward", no_tape)
+        assert evolution.score_path(path, task, "validation") == expected
 
     def test_head_only_model_learns_synthetic_task_to_95_percent(self):
         # Learnability floor: evolution must have signal to climb even at depth 0.
@@ -343,18 +346,19 @@ class TestValidationCache:
                                 np.random.default_rng(3), task)
         path = evolution.materialize_path(child.entries, state.store)
         assert [pl.kind for pl in path].count(eg.LayerKind.TRANSFORMER) == 5
-        assert evolution.lowest_trainable(path) == 7
+        assert child.work_layers()[0][0] == 7
 
-        frozen = [PathLayer(pl.config, pl.params) for pl in path]
-        full = [forward(frozen, x).logits for x in evolution._eval_chunks(path, task, "validation", 0)]
+        full = evolution.frozen_inputs(path, task, "validation", len(path))[1]
         assert [len(x) for x in full] == [64, 36]
+        taped = [forward(path, x).logits for x in evolution.frozen_inputs(path, task, "validation", 0)[1]]
+        assert all(np.array_equal(a, b) for a, b in zip(taped, full, strict=True))
         score = evolution.score_path(path, task, "validation")
-        for stop in range(len(path)):
+        for stop in range(len(path) + 1):
             inputs = evolution.frozen_inputs(path, task, "validation", stop)
             assert inputs[0] == stop
             assert not any(x.flags.writeable for x in inputs[1])
-            for x, logits in zip(inputs[1], full):
-                assert np.array_equal(forward(frozen, x, stop).logits, logits)
+            for x, logits in zip(inputs[1], full, strict=True):
+                assert np.array_equal(run(path[stop:], x), logits)
             assert evolution.score_path(path, task, "validation", inputs) == score
 
     def test_iteration_is_the_same_for_any_worker_count_or_prefix(self, tmp_path, monkeypatch):
@@ -362,7 +366,9 @@ class TestValidationCache:
         runs = {}
         for case in ("serial", "two-workers", "no-prefix"):
             if case == "no-prefix":
-                monkeypatch.setattr(evolution, "lowest_trainable", lambda path: 0)
+                frozen_inputs = evolution.frozen_inputs
+                monkeypatch.setattr(evolution, "frozen_inputs",
+                                    lambda path, task, split, stop: frozen_inputs(path, task, split, 0))
             state = deep_system(seed=5)  # two children of one generation share a stop, not a prefix
             rows = run_task_iteration(state, "ta", cfg, workers=2 if case == "two-workers" else 1)
             save(state, tmp_path / case)

@@ -278,10 +278,12 @@ class TestFailureModes:
         lambda task: task.update(recipe={"type": "raw", "path": "ds"}),
         lambda task: task.update(recipe={k: v for k, v in raw_recipe("ta").items() if k != "checksum"}),
         lambda task: task.update(acl={"mode": "group", "group": ["other"]}),
+        lambda task: task.update(acl={"mode": "group", "group": "ta"}),
+        lambda task: task.update(acl={"mode": "group", "group": {"ta": 1}}),
         lambda task: task.update(recipe=raw_recipe("tr")),
     ], ids=["missing-key", "bad-acl-mode", "missing-recipe-field", "unknown-recipe-type",
             "older-raw-recipe", "raw-recipe-without-checksum", "group-acl-without-its-task",
-            "task-key-not-raw-recipe-name"])
+            "string-group-acl", "object-group-acl", "task-key-not-raw-recipe-name"])
     def test_malformed_task_entry_is_a_data_error(self, tmp_path, capsys, edit):
         state = built_state(evolved=False)
         save(state, tmp_path / "ck")

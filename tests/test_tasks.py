@@ -229,6 +229,14 @@ class TestAcl:
             if acl_allows(consumer, clone, reg):
                 assert acl_allows(consumer, src, reg)
 
+    @pytest.mark.parametrize("group", ["ab", ("a", "b"), {"a": 1}, ["a", 1]],
+                             ids=["string", "tuple", "object", "non-string-name"])
+    def test_group_is_a_list_of_task_names(self, group):
+        # a string would be read as the set of its characters
+        with pytest.raises(ConfigError, match="acl: .*group must be a list of task names"):
+            AccessPolicy.from_dict({"mode": "group", "group": group})
+        assert AccessPolicy.from_dict({"mode": "group", "group": ["a", "b"]}).group == {"a", "b"}
+
     def test_group_policy_must_include_owner(self):
         with pytest.raises(ConfigError, match="acl: group policy of 'g' must include it"):
             make_synthetic_glyph_task("g", 10, 20, 0.0, 1,
